@@ -1,8 +1,8 @@
 //! Post-solve static analysis for LUBT: **exact rational certificate
 //! auditing**.
 //!
-//! Both LP backends share the simplex family and `f64` arithmetic, so a
-//! common-mode numerical bug is invisible to differential tests. This
+//! The float LP backends all work in `f64` arithmetic, so a common-mode
+//! numerical bug is invisible to differential tests between them. This
 //! crate closes that gap from the checking side: every solve outcome is
 //! verified against a proof object — an optimality certificate (basis +
 //! duals) or a Farkas infeasibility ray — using exact dyadic-rational
@@ -19,12 +19,12 @@
 //!
 //! ```
 //! use lubt_audit::audit_solution;
-//! use lubt_lp::{Cmp, LinExpr, Model, SimplexSolver};
+//! use lubt_lp::{Cmp, LinExpr, Model, RevisedSolver};
 //!
 //! let mut m = Model::new();
 //! let x = m.add_var(0.0, 1.0);
 //! m.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Ge, 2.0);
-//! let (solution, cert) = SimplexSolver::new().solve_certified(&m)?;
+//! let (solution, cert) = RevisedSolver::new().solve_certified(&m)?;
 //! let findings = audit_solution(&m, &solution, cert.as_ref());
 //! assert!(findings.is_empty());
 //! # Ok::<(), lubt_lp::LpError>(())

@@ -566,7 +566,7 @@ pub fn audit_solution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lubt_lp::{LinExpr, LpSolve, RevisedSolver, SimplexSolver};
+    use lubt_lp::{LinExpr, LpSolve, RevisedSolver};
 
     fn model_2var() -> Model {
         // min x + 2y  s.t.  x + y >= 3, x <= 2, bounds x,y >= 0.
@@ -579,14 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_optimal_certificate_verifies() {
-        let m = model_2var();
-        let (s, cert) = SimplexSolver::new().solve_certified(&m).unwrap();
-        let findings = audit_solution(&m, &s, cert.as_ref());
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
     fn revised_optimal_certificate_verifies() {
         let m = model_2var();
         let (s, cert) = RevisedSolver::new().solve_certified(&m).unwrap();
@@ -595,25 +587,21 @@ mod tests {
     }
 
     #[test]
-    fn farkas_certificates_verify_on_both_backends() {
+    fn revised_farkas_certificate_verifies() {
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
         m.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Ge, 5.0);
         m.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Le, 3.0);
-        for (s, cert) in [
-            SimplexSolver::new().solve_certified(&m).unwrap(),
-            RevisedSolver::new().solve_certified(&m).unwrap(),
-        ] {
-            assert_eq!(s.status(), Status::Infeasible);
-            let findings = audit_solution(&m, &s, cert.as_ref());
-            assert!(findings.is_empty(), "{findings:?}");
-        }
+        let (s, cert) = RevisedSolver::new().solve_certified(&m).unwrap();
+        assert_eq!(s.status(), Status::Infeasible);
+        let findings = audit_solution(&m, &s, cert.as_ref());
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn corrupted_solution_is_rejected() {
         let m = model_2var();
-        let (s, cert) = SimplexSolver::new().solve_certified(&m).unwrap();
+        let (s, cert) = RevisedSolver::new().solve_certified(&m).unwrap();
         let Some(Certificate::Optimality(c)) = cert else {
             panic!("expected optimality certificate");
         };
@@ -633,7 +621,7 @@ mod tests {
     #[test]
     fn corrupted_duals_are_rejected() {
         let m = model_2var();
-        let (s, cert) = SimplexSolver::new().solve_certified(&m).unwrap();
+        let (s, cert) = RevisedSolver::new().solve_certified(&m).unwrap();
         let Some(Certificate::Optimality(mut c)) = cert else {
             panic!("expected optimality certificate");
         };
@@ -673,7 +661,7 @@ mod tests {
     #[test]
     fn missing_certificate_is_a_finding() {
         let m = model_2var();
-        let s = SimplexSolver::new().solve(&m).unwrap();
+        let s = RevisedSolver::new().solve(&m).unwrap();
         let findings = audit_solution(&m, &s, None);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].pass, PASS_MISSING);
@@ -692,26 +680,13 @@ mod tests {
 
     #[test]
     fn session_certificates_survive_warm_cut_rounds() {
-        use lubt_lp::{RevisedSession, SimplexSession};
+        use lubt_lp::RevisedSession;
         // Grow a model across two cut rounds and audit the final
-        // certificate from each session flavor.
+        // certificate.
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
         let y = m.add_var(0.0, 1.0);
         m.add_constraint(LinExpr::from_terms([(x, 1.0), (y, 1.0)]), Cmp::Ge, 4.0);
-
-        let mut dense = SimplexSession::start(m.clone()).unwrap();
-        dense
-            .add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Ge, 3.0)
-            .unwrap();
-        dense.resolve().unwrap();
-        dense
-            .add_constraint(LinExpr::from_terms([(y, 1.0)]), Cmp::Ge, 1.5)
-            .unwrap();
-        let sol = dense.resolve().unwrap().clone();
-        let cert = dense.certificate().expect("optimal session certifies");
-        let findings = audit_solution(dense.model(), &sol, Some(&cert));
-        assert!(findings.is_empty(), "dense session: {findings:?}");
 
         let mut sparse = RevisedSession::start(m).unwrap();
         sparse
@@ -729,21 +704,10 @@ mod tests {
 
     #[test]
     fn session_infeasibility_yields_a_verifying_farkas_ray() {
-        use lubt_lp::{RevisedSession, SimplexSession};
+        use lubt_lp::RevisedSession;
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
         m.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Le, 3.0);
-
-        let mut dense = SimplexSession::start(m.clone()).unwrap();
-        dense
-            .add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Ge, 5.0)
-            .unwrap();
-        assert_eq!(dense.resolve().unwrap().status(), Status::Infeasible);
-        let Some(Certificate::Farkas(f)) = dense.certificate() else {
-            panic!("dense session must produce a Farkas ray");
-        };
-        let findings = audit_farkas(dense.model(), &f.ray);
-        assert!(findings.is_empty(), "dense session ray: {findings:?}");
 
         let mut sparse = RevisedSession::start(m).unwrap();
         sparse

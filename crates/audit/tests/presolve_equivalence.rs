@@ -8,7 +8,7 @@
 //! here as a certificate that no longer proves anything.
 
 use lubt_audit::audit_solution;
-use lubt_lp::{presolve, Cmp, LinExpr, Model, Presolved, RevisedSolver, SimplexSolver, Status};
+use lubt_lp::{presolve, Cmp, LinExpr, Model, Presolved, RevisedSolver, Status};
 use proptest::prelude::*;
 
 /// A covering LP (`min c'x, A x >= b`, `A >= 0`, `c > 0` — always feasible
@@ -62,29 +62,21 @@ proptest! {
             Presolved::Reduced { model, .. } => model,
             Presolved::Infeasible => unreachable!("covering LPs are feasible"),
         };
-        for backend in ["simplex", "revised"] {
-            let solve = |mm: &Model| {
-                if backend == "simplex" {
-                    SimplexSolver::new().solve_certified(mm).unwrap()
-                } else {
-                    RevisedSolver::new().solve_certified(mm).unwrap()
-                }
-            };
-            let (raw, raw_cert) = solve(&m);
-            let (red, red_cert) = solve(&reduced);
-            prop_assert_eq!(raw.status(), Status::Optimal, "{}", backend);
-            prop_assert_eq!(red.status(), Status::Optimal, "{}", backend);
-            let scale = 1.0 + raw.objective().abs();
-            prop_assert!(
-                (raw.objective() - red.objective()).abs() / scale < 1e-9,
-                "{}: raw {} vs presolved {}",
-                backend, raw.objective(), red.objective()
-            );
-            let f = audit_solution(&m, &raw, raw_cert.as_ref());
-            prop_assert!(f.is_empty(), "{}: raw audit {:?}", backend, f);
-            let f = audit_solution(&reduced, &red, red_cert.as_ref());
-            prop_assert!(f.is_empty(), "{}: presolved audit {:?}", backend, f);
-        }
+        let solve = |mm: &Model| RevisedSolver::new().solve_certified(mm).unwrap();
+        let (raw, raw_cert) = solve(&m);
+        let (red, red_cert) = solve(&reduced);
+        prop_assert_eq!(raw.status(), Status::Optimal);
+        prop_assert_eq!(red.status(), Status::Optimal);
+        let scale = 1.0 + raw.objective().abs();
+        prop_assert!(
+            (raw.objective() - red.objective()).abs() / scale < 1e-9,
+            "raw {} vs presolved {}",
+            raw.objective(), red.objective()
+        );
+        let f = audit_solution(&m, &raw, raw_cert.as_ref());
+        prop_assert!(f.is_empty(), "raw audit {:?}", f);
+        let f = audit_solution(&reduced, &red, red_cert.as_ref());
+        prop_assert!(f.is_empty(), "presolved audit {:?}", f);
     }
 
     #[test]
@@ -109,20 +101,11 @@ proptest! {
             Presolved::Infeasible => unreachable!("presolve cannot cross senses"),
         };
         prop_assert_eq!(reduced.num_constraints(), 2);
-        for backend in ["simplex", "revised"] {
-            let solve = |mm: &Model| {
-                if backend == "simplex" {
-                    SimplexSolver::new().solve_certified(mm).unwrap()
-                } else {
-                    RevisedSolver::new().solve_certified(mm).unwrap()
-                }
-            };
-            for (label, model) in [("raw", &m), ("presolved", &reduced)] {
-                let (sol, cert) = solve(model);
-                prop_assert_eq!(sol.status(), Status::Infeasible, "{}/{}", backend, label);
-                let f = audit_solution(model, &sol, cert.as_ref());
-                prop_assert!(f.is_empty(), "{}/{}: {:?}", backend, label, f);
-            }
+        for (label, model) in [("raw", &m), ("presolved", &reduced)] {
+            let (sol, cert) = RevisedSolver::new().solve_certified(model).unwrap();
+            prop_assert_eq!(sol.status(), Status::Infeasible, "{}", label);
+            let f = audit_solution(model, &sol, cert.as_ref());
+            prop_assert!(f.is_empty(), "{}: {:?}", label, f);
         }
     }
 }

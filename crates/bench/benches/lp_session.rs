@@ -1,9 +1,9 @@
 //! Re-solve strategies for a growing LP (the lazy-separation pattern):
 //! cold two-phase solves each round, warm basis reconstruction
-//! (`solve_warm`), and the incremental tableau session (`SimplexSession`).
+//! (`solve_warm`), and the incremental session (`RevisedSession`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lubt_lp::{Cmp, LinExpr, LpSolve, Model, SimplexSession, SimplexSolver, Var};
+use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSession, RevisedSolver, Var};
 
 /// Deterministic covering-LP growth schedule: a base row plus `rounds`
 /// batches of rows over `n` variables.
@@ -47,7 +47,7 @@ fn bench_growth(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("cold", n), &n, |bench, &n| {
             bench.iter(|| {
                 let (mut m, vars, batches) = schedule(n, rounds, per_round);
-                let solver = SimplexSolver::new();
+                let solver = RevisedSolver::new();
                 let mut last = solver.solve(&m).unwrap().objective();
                 for batch in &batches {
                     for (cols, rhs) in batch {
@@ -62,7 +62,7 @@ fn bench_growth(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("warm_reconstruct", n), &n, |bench, &n| {
             bench.iter(|| {
                 let (mut m, vars, batches) = schedule(n, rounds, per_round);
-                let solver = SimplexSolver::new();
+                let solver = RevisedSolver::new();
                 let (sol, mut warm) = solver.solve_warm(&m, None).unwrap();
                 let mut last = sol.objective();
                 for batch in &batches {
@@ -80,7 +80,7 @@ fn bench_growth(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("session", n), &n, |bench, &n| {
             bench.iter(|| {
                 let (m, vars, batches) = schedule(n, rounds, per_round);
-                let mut session = SimplexSession::start(m).unwrap();
+                let mut session = RevisedSession::start(m).unwrap();
                 let mut last = session.solution().objective();
                 for batch in &batches {
                     for (cols, rhs) in batch {

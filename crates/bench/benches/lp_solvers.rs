@@ -25,10 +25,10 @@ fn bench_backends(c: &mut Criterion) {
     g.sample_size(10);
     for m in [8usize, 16, 32] {
         let problem = ebf_problem(m);
-        g.bench_with_input(BenchmarkId::new("simplex", m), &problem, |b, p| {
+        g.bench_with_input(BenchmarkId::new("revised", m), &problem, |b, p| {
             b.iter(|| {
                 EbfSolver::new()
-                    .with_backend(SolverBackend::Simplex)
+                    .with_backend(SolverBackend::Revised)
                     .solve(p)
                     .expect("feasible")
             })

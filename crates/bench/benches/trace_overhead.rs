@@ -36,7 +36,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         let traced = traced.expect("feasible");
         assert_eq!(plain.0, traced.0, "tracing changed the edge lengths");
         assert_eq!(plain.1, traced.1, "tracing changed the report");
-        assert!(trace.counter("simplex.solves") >= 1);
+        assert!(trace.counter("lp.solves") >= 1);
     }
 
     let mut g = c.benchmark_group("trace_overhead");

@@ -1,5 +1,5 @@
 //! The pinned `lubt bench` suite: a fixed, seeded set of instances solved
-//! under both LP backends, folded into an [`AggregateTrace`], and written
+//! under every backend, folded into an [`AggregateTrace`], and written
 //! as a schema-versioned benchmark document.
 //!
 //! The suite is the unit of the performance trajectory: every run solves
@@ -38,9 +38,14 @@ const DIE: f64 = 1000.0;
 const LOWER_FRAC: f64 = 0.9;
 const UPPER_FRAC: f64 = 1.4;
 
-/// Sink counts of the large `--full` instances, where the sparse kernel's
-/// advantage over the dense tableau is actually measurable.
+/// Sink counts of the large `--full` instances, where the revised kernel's
+/// scaling is actually measurable.
 pub const FULL_SIZES: [usize; 2] = [256, 512];
+
+/// Largest sink count the exact DP oracle runs at — the top of the default
+/// base sizes. Its eager `C(m, 2)`-row rational core is the cross-check,
+/// not the large-instance path: at 64 sinks one solve takes minutes.
+const DP_MAX_SINKS: usize = 16;
 
 /// Suite configuration (sizes, thread count, backend cap).
 #[derive(Debug, Clone)]
@@ -55,9 +60,9 @@ pub struct SuiteConfig {
     pub sizes: Vec<usize>,
     /// Largest sink count the dense interior-point backend runs at.
     pub interior_cap: usize,
-    /// When `true`, also solves the [`FULL_SIZES`] instances (dense and
-    /// revised simplex) so kernel speedups are measurable; off by default
-    /// to keep the CI bench gate fast.
+    /// When `true`, also solves the [`FULL_SIZES`] instances on the revised
+    /// simplex so kernel speedups are measurable; off by default to keep
+    /// the CI bench gate fast.
     pub full: bool,
     /// When `true`, runs the `audit_overhead` group: a serial re-solve of
     /// every entry with exact certificate auditing enabled
@@ -116,7 +121,7 @@ impl Default for SuiteConfig {
 pub struct InstanceRow {
     /// Pinned instance name (e.g. `u10`, `c16`).
     pub name: String,
-    /// Solver backend (`simplex` | `interior` | `revised` | `dp`).
+    /// Solver backend (`revised` | `interior` | `dp`).
     pub backend: &'static str,
     /// Sink count.
     pub sinks: usize,
@@ -145,14 +150,13 @@ pub struct BenchRun {
     pub interior_cap: usize,
     /// Per-(instance, backend) rows, in pinned order.
     pub rows: Vec<InstanceRow>,
-    /// Fold of the **core** solves — the seed-era scope (dense simplex and
-    /// capped interior point at the base sizes), kept separate so its
+    /// Fold of the **core** solves — the default revised backend and the
+    /// capped interior point at the requested sizes — kept separate so its
     /// deterministic half stays exactly comparable against baselines
-    /// recorded before the revised backend and `--full` sizes existed.
+    /// recorded without the oracle and `--full` groups.
     pub aggregate: AggregateTrace,
-    /// Fold of the **extended** solves (revised backend, `--full`
-    /// instances); compared exactly only between documents that both
-    /// carry it.
+    /// Fold of the **extended** solves (DP oracle, `--full` instances);
+    /// compared exactly only between documents that both carry it.
     pub extended: AggregateTrace,
     /// Resolved worker count of the parallel leg.
     pub threads: usize,
@@ -202,12 +206,10 @@ struct Entry {
 /// The batch groups in solve order: `(group name, backend, core)`. `core`
 /// groups fold into the seed-comparable aggregate; the rest fold into
 /// `extended`.
-const GROUPS: [(&str, SolverBackend, bool); 6] = [
-    ("simplex", SolverBackend::Simplex, true),
+const GROUPS: [(&str, SolverBackend, bool); 4] = [
+    ("revised", SolverBackend::Revised, true),
     ("interior", SolverBackend::InteriorPoint, true),
-    ("revised", SolverBackend::Revised, false),
     ("dp", SolverBackend::Dp, false),
-    ("simplex-full", SolverBackend::Simplex, false),
     ("revised-full", SolverBackend::Revised, false),
 ];
 
@@ -229,14 +231,13 @@ fn plan(config: &SuiteConfig) -> Result<Vec<Entry>, String> {
     for inst in pinned_instances(&config.sizes) {
         let m = inst.sinks.len();
         let problem = planned_problem(&inst)?;
-        let mut backends = vec![(SolverBackend::Simplex, "simplex", "simplex")];
+        let mut backends = vec![(SolverBackend::Revised, "revised", "revised")];
         if m <= config.interior_cap {
             backends.push((SolverBackend::InteriorPoint, "interior", "interior"));
         }
-        backends.push((SolverBackend::Revised, "revised", "revised"));
-        // The exact oracle runs only at the base sizes: its C(m, 2)-row
-        // rational core is the cross-check, not the large-instance path.
-        backends.push((SolverBackend::Dp, "dp", "dp"));
+        if m <= DP_MAX_SINKS {
+            backends.push((SolverBackend::Dp, "dp", "dp"));
+        }
         for (backend, backend_label, group) in backends {
             entries.push(Entry {
                 name: inst.name.clone(),
@@ -250,21 +251,14 @@ fn plan(config: &SuiteConfig) -> Result<Vec<Entry>, String> {
     }
     if config.full {
         for inst in pinned_instances(&FULL_SIZES) {
-            let m = inst.sinks.len();
-            let problem = planned_problem(&inst)?;
-            for (backend, backend_label, group) in [
-                (SolverBackend::Simplex, "simplex", "simplex-full"),
-                (SolverBackend::Revised, "revised", "revised-full"),
-            ] {
-                entries.push(Entry {
-                    name: inst.name.clone(),
-                    backend,
-                    backend_label,
-                    group,
-                    sinks: m,
-                    problem: problem.clone(),
-                });
-            }
+            entries.push(Entry {
+                name: inst.name.clone(),
+                backend: SolverBackend::Revised,
+                backend_label: "revised",
+                group: "revised-full",
+                sinks: inst.sinks.len(),
+                problem: planned_problem(&inst)?,
+            });
         }
     }
     Ok(entries)
@@ -610,9 +604,9 @@ impl BenchRun {
         s.push_str(&format!("    \"solves\": {},\n", self.aggregate.solves));
         s.push_str("    \"aggregate\": ");
         s.push_str(&self.aggregate.deterministic_json("    "));
-        // Extended scope (revised backend, --full sizes) is its own
-        // member so the core aggregate above stays exactly comparable
-        // against pre-revised baselines.
+        // Extended scope (DP oracle, --full sizes) is its own member so
+        // the core aggregate above stays exactly comparable against
+        // baselines recorded without it.
         s.push_str(",\n    \"extended\": {\n");
         s.push_str(&format!(
             "      \"solves\": {},\n      \"aggregate\": ",
@@ -712,50 +706,30 @@ mod tests {
     #[test]
     fn suite_runs_and_serializes_strict_json_with_split_sections() {
         let run = run(&tiny()).unwrap();
-        // 2 sizes × 2 instances with simplex + revised + dp everywhere and
-        // interior only at m = 5 ⇒ 12 + 2 rows; the 4 revised and 4 dp
-        // solves fold into the extended aggregate, not the seed-comparable
-        // core.
-        assert_eq!(run.rows.len(), 14);
+        // 2 sizes × 2 instances with revised + dp everywhere and interior
+        // only at m = 5 ⇒ 8 + 2 rows; the 4 dp solves fold into the
+        // extended aggregate, not the core.
+        assert_eq!(run.rows.len(), 10);
         assert_eq!(run.aggregate.solves, 6);
-        assert_eq!(run.extended.solves, 8);
-        assert_eq!(run.extended.counter("lp.solves"), 4);
+        assert_eq!(run.extended.solves, 4);
+        assert_eq!(run.aggregate.counter("lp.solves"), 4);
         assert_eq!(run.extended.counter("dp.solves"), 4);
-        assert_eq!(run.aggregate.counter("lp.solves"), 0);
+        assert_eq!(run.extended.counter("lp.solves"), 0);
         assert_eq!(run.aggregate.counter("dp.solves"), 0);
-        assert_eq!(run.extended.counter("simplex.solves"), 0);
         assert!(run.rows.iter().all(|r| r.cost > 0.0));
-        // The revised rows must agree with their dense twins exactly on
-        // the LP-level facts (same pivot rules, same certificates).
-        for r in run.rows.iter().filter(|r| r.backend == "revised") {
-            let dense = run
-                .rows
-                .iter()
-                .find(|d| d.backend == "simplex" && d.name == r.name)
-                .expect("every revised row has a dense twin");
-            assert!(
-                (dense.cost - r.cost).abs() <= 1e-6 * (1.0 + dense.cost.abs()),
-                "{}: dense {} vs revised {}",
-                r.name,
-                dense.cost,
-                r.cost
-            );
-            assert_eq!(dense.separation_rounds, r.separation_rounds, "{}", r.name);
-            assert_eq!(dense.steiner_rows, r.steiner_rows, "{}", r.name);
-        }
-        // The exact-oracle rows agree with the dense twins on cost; being
-        // eager they materialize every pair row in a single round.
+        // The exact-oracle rows agree with their revised twins on cost;
+        // being eager they materialize every pair row in a single round.
         for r in run.rows.iter().filter(|r| r.backend == "dp") {
-            let dense = run
+            let revised = run
                 .rows
                 .iter()
-                .find(|d| d.backend == "simplex" && d.name == r.name)
-                .expect("every dp row has a dense twin");
+                .find(|d| d.backend == "revised" && d.name == r.name)
+                .expect("every dp row has a revised twin");
             assert!(
-                (dense.cost - r.cost).abs() <= 1e-6 * (1.0 + dense.cost.abs()),
-                "{}: dense {} vs dp {}",
+                (revised.cost - r.cost).abs() <= 1e-9 * (1.0 + revised.cost.abs()),
+                "{}: revised {} vs dp {}",
                 r.name,
-                dense.cost,
+                revised.cost,
                 r.cost
             );
             assert_eq!(r.separation_rounds, 1, "{}", r.name);
@@ -786,21 +760,38 @@ mod tests {
         })
         .unwrap();
         // The core prefix is unchanged; the full entries append after it.
-        assert_eq!(full.len(), base.len() + 2 * FULL_SIZES.len() * 2);
+        assert_eq!(full.len(), base.len() + 2 * FULL_SIZES.len());
         for (a, b) in base.iter().zip(&full) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.group, b.group);
         }
         let tail = &full[base.len()..];
-        assert!(tail
-            .iter()
-            .all(|e| e.group == "simplex-full" || e.group == "revised-full"));
+        assert!(tail.iter().all(|e| e.group == "revised-full"));
         assert!(tail.iter().any(|e| e.name == "u256"));
         assert!(tail.iter().any(|e| e.name == "c512"));
         assert!(GROUPS
             .iter()
             .filter(|(_, _, core)| !core)
-            .all(|(g, _, _)| *g == "dp" || g.starts_with("revised") || g.ends_with("-full")));
+            .all(|(g, _, _)| *g == "dp" || g.ends_with("-full")));
+    }
+
+    #[test]
+    fn dp_runs_only_at_the_base_sizes() {
+        let large = plan(&SuiteConfig {
+            sizes: vec![64],
+            ..tiny()
+        })
+        .unwrap();
+        assert!(!large.is_empty());
+        assert!(large.iter().all(|e| e.backend != SolverBackend::Dp));
+        // The default sizes keep one dp row per pinned instance.
+        let base = plan(&SuiteConfig::default()).unwrap();
+        let dp: Vec<&str> = base
+            .iter()
+            .filter(|e| e.group == "dp")
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(dp, ["u6", "c6", "u10", "c10", "u16", "c16"]);
     }
 
     #[test]
@@ -832,7 +823,7 @@ mod tests {
         validate(&doc).unwrap_or_else(|e| panic!("invalid bench JSON: {e}\n{doc}"));
         let det = extract_deterministic(&doc);
         assert!(!det.contains("audit_overhead"));
-        assert!(doc.contains("time.suite.audit_overhead.simplex.threads1"));
+        assert!(doc.contains("time.suite.audit_overhead.revised.threads1"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! CPU-time scaling table (the §8 solver discussion): EBF solve time vs.
-//! sink count for both LP backends, plus the zero-skew closed form.
+//! sink count for the revised simplex and the interior point, plus the
+//! zero-skew closed form.
 //!
 //! The paper reports that LOQO's interior-point method beats the simplex
 //! "for large problems"; this experiment makes the crossover measurable on
@@ -28,7 +29,7 @@ pub const DEFAULT_INTERIOR_CAP: usize = 32;
 pub struct TimingRow {
     /// Sink count.
     pub sinks: usize,
-    /// Simplex wall time (seconds).
+    /// Revised-simplex wall time (seconds).
     pub simplex_s: f64,
     /// Interior-point wall time (seconds); `NaN` when the size was over
     /// the interior-point cap and the backend was skipped.
@@ -86,7 +87,7 @@ pub fn run_with_interior_cap(
         let report = {
             let _t = PhaseTimer::new(&rec, "time.bench.simplex");
             let (_, report) = EbfSolver::new()
-                .with_backend(SolverBackend::Simplex)
+                .with_backend(SolverBackend::Revised)
                 .solve(&problem)?;
             report
         };

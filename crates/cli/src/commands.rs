@@ -11,18 +11,18 @@ use lubt_topology::{bipartition_topology, matching_topology, SourceMode, Topolog
 
 const USAGE: &str = "usage:
   lubt solve <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] [--threads N] \
+[--topology nn|matching|bisect|aware] [--lp-backend revised|ipm|dp] [--threads N] \
 [--max-lp-iterations N] [--audit] [--svg out.svg] [--json out.json] [--trace-json [out.json]] \
 [--profile [out.json]] [--profile-folded [out.txt]] [--trace-event-cap N]
   lubt batch <input>... --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] [--threads N] \
+[--topology nn|matching|bisect|aware] [--lp-backend revised|ipm|dp] [--threads N] \
 [--max-lp-iterations N] [--audit] [--json out.json] [--metrics [out.json]] \
 [--metrics-prom [out.prom]] [--profile [out.json]] [--profile-folded [out.txt]] \
 [--trace-event-cap N]
   lubt audit <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] [--json [out.json]]
+[--topology nn|matching|bisect|aware] [--lp-backend revised|ipm|dp] [--json [out.json]]
   lubt profile <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] \
+[--topology nn|matching|bisect|aware] [--lp-backend revised|ipm|dp] \
 [--format chrome|folded|tree|shape] [--out file] | lubt profile --check-folded file
   lubt bench [--label L] [--threads N] [--sizes A,B,C] [--interior-cap K] [--full] [--audit] \
 [--serve] [--profile] [--par-intra] [--out file]
@@ -213,21 +213,18 @@ fn write_svg(parsed: &Parsed, svg: &str) -> Result<(), String> {
 }
 
 /// Resolves the LP backend from `--lp-backend` (or its original spelling
-/// `--backend`; `--lp-backend` wins when both appear). Shared by `solve`
-/// and `batch`.
+/// `--backend`; `--lp-backend` wins when both appear; default `revised`).
+/// Shared by `solve`, `batch`, `audit` and `profile`.
 fn choose_backend(parsed: &Parsed) -> Result<SolverBackend, String> {
     match parsed
         .get("lp-backend")
         .or_else(|| parsed.get("backend"))
-        .unwrap_or("simplex")
+        .unwrap_or("revised")
     {
-        "simplex" => Ok(SolverBackend::Simplex),
-        "ipm" => Ok(SolverBackend::InteriorPoint),
         "revised" => Ok(SolverBackend::Revised),
+        "ipm" => Ok(SolverBackend::InteriorPoint),
         "dp" => Ok(SolverBackend::Dp),
-        other => Err(format!(
-            "unknown backend {other:?} (simplex|ipm|revised|dp)"
-        )),
+        other => Err(format!("unknown backend {other:?} (revised|ipm|dp)")),
     }
 }
 
@@ -590,7 +587,6 @@ fn cmd_audit(parsed: &Parsed) -> Result<(), String> {
     let topology = choose_topology(parsed, &inst, &bounds)?;
     let backend = choose_backend(parsed)?;
     let backend_name = match backend {
-        SolverBackend::Simplex => "simplex",
         SolverBackend::InteriorPoint => "ipm",
         SolverBackend::Revised => "revised",
         SolverBackend::Dp => "dp",
@@ -756,7 +752,7 @@ fn cmd_profile(parsed: &Parsed) -> Result<(), String> {
     result.map(|_| ()).map_err(|e| render_lubt_error(&e))
 }
 
-/// `lubt bench`: runs the pinned benchmark suite (both LP backends, a
+/// `lubt bench`: runs the pinned benchmark suite (every backend, a
 /// serial and a parallel leg with a built-in determinism cross-check) and
 /// writes the schema-versioned `lubt-bench-v1` document, default
 /// `BENCH_<label>.json`. The document's `"deterministic"` section is

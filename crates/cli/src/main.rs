@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! lubt solve <input> --lower 0.9 --upper 1.3 [--absolute] [--topology nn|matching|bisect|aware]
-//!                     [--backend simplex|ipm] [--max-lp-iterations N] [--svg out.svg]
+//!                     [--lp-backend revised|ipm|dp] [--max-lp-iterations N] [--svg out.svg]
 //!                     [--trace-json [out.json]] [--audit]
 //! lubt batch <input>... --lower L --upper U [--threads N] [--audit] [--metrics [out.json]]
 //!                       [--metrics-prom [out.prom]]
-//! lubt audit <input> --lower L --upper U [--absolute] [--lp-backend simplex|ipm|revised|dp]
+//! lubt audit <input> --lower L --upper U [--absolute] [--lp-backend revised|ipm|dp]
 //!                    [--json [out.json]]
 //! lubt bench [--label L] [--threads N] [--sizes A,B,C] [--full] [--audit] [--out file]
 //! lubt report --baseline A.json --current B.json [--ignore-timings] [--json [out.json]]

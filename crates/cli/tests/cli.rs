@@ -351,7 +351,7 @@ fn solve_trace_json_is_valid_and_reports_the_solve() {
     lubt_obs::json::validate(&trace).expect("trace JSON must be strictly valid");
     for key in [
         "\"schema\": \"lubt-trace-v1\"",
-        "simplex.pivots",
+        "lp.pivots",
         "ebf.rounds",
         "embed.fr_constructions",
         "time.lp",
@@ -412,10 +412,7 @@ fn solve_iteration_limit_fails_with_diagnostic_but_still_writes_the_trace() {
     // The trace survives the failed solve and records the exhaustion.
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     lubt_obs::json::validate(&trace).expect("failure trace must be strictly valid");
-    assert!(
-        trace.contains("simplex.iteration_limit_hits"),
-        "trace: {trace}"
-    );
+    assert!(trace.contains("lp.iteration_limit_hits"), "trace: {trace}");
 
     // A bare `--max-lp-iterations` is rejected, not silently ignored.
     let out = lubt()
@@ -474,7 +471,7 @@ fn batch_metrics_are_valid_json_and_leave_the_report_deterministic() {
     for path in [&m1, &m8] {
         let metrics = std::fs::read_to_string(path).unwrap();
         lubt_obs::json::validate(&metrics).expect("metrics must be strictly valid JSON");
-        for key in ["batch.instances", "batch.solved", "simplex.solves"] {
+        for key in ["batch.instances", "batch.solved", "lp.solves"] {
             assert!(metrics.contains(key), "metrics missing {key}: {metrics}");
         }
     }
@@ -529,10 +526,7 @@ fn revised_backend_via_cli_solves_batches_and_rejects_unknown() {
     // Usage advertises the new backend and the bench --full switch.
     let help = lubt().arg("help").output().unwrap();
     let text = String::from_utf8(help.stdout).unwrap();
-    assert!(
-        text.contains("--lp-backend simplex|ipm|revised|dp"),
-        "{text}"
-    );
+    assert!(text.contains("--lp-backend revised|ipm|dp"), "{text}");
     assert!(text.contains("--full"), "{text}");
 
     let pts = gen_batch("revised-cli", 4, 8);
@@ -574,17 +568,23 @@ fn revised_backend_via_cli_solves_batches_and_rejects_unknown() {
     };
     assert_eq!(run("1"), run("8"), "revised batch differs across threads");
 
-    let out = lubt()
-        .args(["solve"])
-        .arg(&pts[0])
-        .args(["--upper", "1.5", "--lp-backend", "bogus"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown backend"), "stderr: {err}");
-    // The rejection enumerates every valid backend, dp included.
-    assert!(err.contains("simplex|ipm|revised|dp"), "stderr: {err}");
+    // Any other name, `simplex` included, is rejected with the list of
+    // valid backends.
+    for name in ["bogus", "simplex"] {
+        let out = lubt()
+            .args(["solve"])
+            .arg(&pts[0])
+            .args(["--upper", "1.5", "--lp-backend", name])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{name} must be rejected");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("unknown backend \"{name}\"")),
+            "stderr: {err}"
+        );
+        assert!(err.contains("(revised|ipm|dp)"), "stderr: {err}");
+    }
 
     for p in pts {
         let _ = std::fs::remove_file(p);
@@ -606,7 +606,7 @@ fn dp_backend_via_cli_solves_batches_and_audits() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // The dp solve lands on the same cost the simplex backend reports.
+    // The dp solve lands on the same cost the default backend reports.
     let cost_of = |stdout: &[u8]| -> String {
         let text = String::from_utf8_lossy(stdout).to_string();
         text.lines()
@@ -614,13 +614,13 @@ fn dp_backend_via_cli_solves_batches_and_audits() {
             .unwrap_or_else(|| panic!("no cost line in {text}"))
             .to_string()
     };
-    let simplex = lubt()
+    let default = lubt()
         .args(["solve"])
         .arg(&pts[0])
         .args(["--lower", "0.9", "--upper", "1.5"])
         .output()
         .unwrap();
-    assert_eq!(cost_of(&out.stdout), cost_of(&simplex.stdout));
+    assert_eq!(cost_of(&out.stdout), cost_of(&default.stdout));
 
     // Batch output through the dp backend is byte-identical across thread
     // counts — the solve itself is single-threaded and exact.
@@ -695,7 +695,7 @@ fn batch_bare_metrics_go_to_stderr_and_leave_stdout_identical() {
         "stderr: {stderr}"
     );
     assert!(
-        stderr.contains("# TYPE lubt_simplex_pivots_total counter"),
+        stderr.contains("# TYPE lubt_lp_pivots_total counter"),
         "stderr: {stderr}"
     );
     for p in pts {
@@ -727,8 +727,8 @@ fn batch_metrics_prom_file_is_a_prometheus_exposition() {
     );
     let exposition = std::fs::read_to_string(&prom).unwrap();
     for needle in [
-        "# HELP lubt_simplex_pivots_total",
-        "# TYPE lubt_simplex_pivots_total counter",
+        "# HELP lubt_lp_pivots_total",
+        "# TYPE lubt_lp_pivots_total counter",
         "lubt_batch_instances_total 3",
         "lubt_time_lp_seconds_total",
     ] {
@@ -753,41 +753,40 @@ fn audit_command_verifies_solves_and_emits_strict_json() {
         .unwrap();
     assert!(out.status.success());
 
-    for backend in ["simplex", "revised"] {
-        // Feasible window: everything verifies, exit zero.
-        let out = lubt()
-            .args(["audit"])
-            .arg(&pts)
-            .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{backend}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains("verified"), "{backend} stdout: {text}");
+    let backend = "revised";
+    // Feasible window: everything verifies, exit zero.
+    let out = lubt()
+        .args(["audit"])
+        .arg(&pts)
+        .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{backend}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("verified"), "{backend} stdout: {text}");
 
-        // JSON mode: a strict lubt-audit-v1 document with the verification
-        // counters, still exit zero.
-        let out = lubt()
-            .args(["audit"])
-            .arg(&pts)
-            .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
-            .args(["--json"])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{backend} --json");
-        let text = String::from_utf8(out.stdout).unwrap();
-        let json_start = text.find("{\n").expect("audit JSON on stdout");
-        let doc = &text[json_start..];
-        lubt_obs::json::validate(doc).expect("audit JSON must be strictly valid");
-        assert!(doc.contains("\"schema\": \"lubt-audit-v1\""), "{doc}");
-        assert!(doc.contains("\"status\": \"verified\""), "{doc}");
-        assert!(doc.contains("\"lp_optimality_verified\": 1"), "{doc}");
-        assert!(doc.contains("\"tree_verified\": 1"), "{doc}");
-    }
+    // JSON mode: a strict lubt-audit-v1 document with the verification
+    // counters, still exit zero.
+    let out = lubt()
+        .args(["audit"])
+        .arg(&pts)
+        .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
+        .args(["--json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{backend} --json");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let json_start = text.find("{\n").expect("audit JSON on stdout");
+    let doc = &text[json_start..];
+    lubt_obs::json::validate(doc).expect("audit JSON must be strictly valid");
+    assert!(doc.contains("\"schema\": \"lubt-audit-v1\""), "{doc}");
+    assert!(doc.contains("\"status\": \"verified\""), "{doc}");
+    assert!(doc.contains("\"lp_optimality_verified\": 1"), "{doc}");
+    assert!(doc.contains("\"tree_verified\": 1"), "{doc}");
 
     // An infeasible window is a *successful* audit of a Farkas ray: the
     // refusal is proven, so the exit stays zero.
@@ -1244,7 +1243,7 @@ fn trace_event_cap_zero_and_one_warn_about_dropped_events() {
 #[test]
 fn profile_subcommand_exports_valid_documents_across_backends_and_outcomes() {
     let pts = gen_profile_instance("prof-backends");
-    for backend in ["simplex", "ipm", "revised", "dp"] {
+    for backend in ["revised", "ipm", "dp"] {
         // Feasible: the Chrome doc lands on stdout and validates strictly.
         let out = lubt()
             .args(["profile"])

@@ -109,7 +109,7 @@ impl BatchSolver {
 
     /// [`BatchSolver::solve_all`] with batch-level metrics accumulated into
     /// a fresh recorder, returned as a [`SolveTrace`] alongside the
-    /// results: every instance's `ebf.*`/`simplex.*`/`embed.*` counters
+    /// results: every instance's `ebf.*`/`lp.*`/`embed.*` counters
     /// summed into one trace, the `par.*` scheduling counters of the batch
     /// loop itself, plus `batch.instances`, `batch.solved`, `batch.failed`.
     ///
@@ -364,7 +364,7 @@ mod tests {
         assert!(trace.counter("par.jobs") >= 8);
         // The per-instance solves fed the same trace: LP and embedder
         // counters aggregate across the whole batch.
-        assert!(trace.counter("simplex.solves") >= 4);
+        assert!(trace.counter("lp.solves") >= 4);
         assert!(trace.counter("embed.fr_constructions") >= 4);
     }
 
@@ -416,7 +416,7 @@ mod tests {
         assert_eq!(agg.counter("batch.failed"), 4);
         // The per-solve histogram has one sample per instance that reached
         // the LP (infeasible ones may be rejected by the pre-solve lint).
-        assert!(agg.histogram("simplex.solves").unwrap().count() >= 4);
+        assert!(agg.histogram("lp.solves").unwrap().count() >= 4);
         // Scheduling keys stay in the exempt section of the aggregate.
         assert_eq!(agg.counter("par.jobs"), 0);
         assert!(agg.sched_counters.contains_key("par.jobs"));

@@ -3,25 +3,22 @@
 
 use crate::steiner::{all_pair_constraints, seed_pairs, SinkPair};
 use crate::{LubtError, LubtProblem};
-use lubt_lp::{
-    Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, RevisedSolver, SimplexSolver, Status, Var,
-};
+use lubt_lp::{Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, RevisedSolver, Status, Var};
 use lubt_obs::{PhaseTimer, Recorder, SolveTrace, SpanGuard, TraceRecorder};
 use lubt_topology::NodeId;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// LP backend selection — the paper used LOQO (interior point) and noted
 /// the simplex-vs-interior-point trade-off; both are available here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverBackend {
-    /// Two-phase primal simplex (exact infeasibility certificates;
-    /// default).
-    Simplex,
     /// Mehrotra predictor-corrector interior point.
     InteriorPoint,
-    /// Sparse revised simplex: same pivot rules and certificates as
-    /// [`SolverBackend::Simplex`] but the Steiner rows stay sparse and only
-    /// the basis factorization is kept — the fast path on large instances.
+    /// Sparse revised simplex (default): two-phase primal simplex with a
+    /// warm-started dual simplex across separation rounds and exact
+    /// optimality/infeasibility certificates. The Steiner rows stay sparse
+    /// and only the basis factorization is kept.
     Revised,
     /// LP-free exact oracle ([`lubt_dp`]): interval dynamic programming
     /// over per-node feasible delay windows, then a fraction-free rational
@@ -140,7 +137,7 @@ pub struct EbfSolver {
 impl Default for EbfSolver {
     fn default() -> Self {
         EbfSolver {
-            backend: SolverBackend::Simplex,
+            backend: SolverBackend::Revised,
             steiner_mode: SteinerMode::default_lazy(),
             violation_tol: 1e-6,
             prelint: true,
@@ -150,6 +147,11 @@ impl Default for EbfSolver {
             recorder: lubt_obs::noop(),
         }
     }
+}
+
+/// Order-independent identity of a sink-pair row.
+fn pair_key(pair: &SinkPair) -> (NodeId, NodeId) {
+    (pair.a.min(pair.b), pair.a.max(pair.b))
 }
 
 /// Assembles the base EBF model: one variable per edge (cost = weight),
@@ -215,7 +217,8 @@ pub fn ebf_model(problem: &LubtProblem) -> Model {
 }
 
 impl EbfSolver {
-    /// Creates a solver with the default configuration (simplex, lazy).
+    /// Creates a solver with the default configuration (revised simplex,
+    /// lazy).
     pub fn new() -> Self {
         Self::default()
     }
@@ -275,7 +278,7 @@ impl EbfSolver {
     }
 
     /// Sends solve-path instrumentation (`ebf.*` separation counters,
-    /// `simplex.*` pivot counters, `par.*` oracle scheduling counters,
+    /// `lp.*` pivot counters, `par.*` oracle scheduling counters,
     /// `time.*` phase timers) to `recorder`. The default is a no-op sink;
     /// [`EbfSolver::solve_traced`] wires a [`TraceRecorder`] for you.
     ///
@@ -285,16 +288,6 @@ impl EbfSolver {
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The simplex backend configured with this solver's recorder and
-    /// iteration cap.
-    fn simplex(&self) -> SimplexSolver {
-        let mut s = SimplexSolver::new().with_recorder(Arc::clone(&self.recorder));
-        if let Some(limit) = self.max_lp_iterations {
-            s = s.with_max_iterations(limit);
-        }
-        s
     }
 
     /// The revised-simplex backend configured with this solver's recorder
@@ -401,8 +394,8 @@ impl EbfSolver {
 
     /// [`EbfSolver::solve`], additionally handing back the converged
     /// incremental session as a [`WarmEbfSession`] when the solve went
-    /// through one (lazy Steiner mode on the [`SolverBackend::Simplex`] or
-    /// [`SolverBackend::Revised`] backend; `None` otherwise).
+    /// through one (lazy Steiner mode on the [`SolverBackend::Revised`]
+    /// backend; `None` otherwise).
     ///
     /// A warm session is what the serve layer keeps across requests: its
     /// [`WarmEbfSession::resolve_lengths`] replays the converged basis
@@ -512,13 +505,6 @@ impl EbfSolver {
                 let _t = PhaseTimer::new(rec, "time.lp");
                 let _span = SpanGuard::enter(rec, "lp");
                 match self.backend {
-                    SolverBackend::Simplex => {
-                        if self.audit {
-                            self.simplex().solve_certified(model)?
-                        } else {
-                            (self.simplex().solve(model)?, None)
-                        }
-                    }
                     SolverBackend::InteriorPoint => (self.interior().solve(model)?, None),
                     SolverBackend::Revised => {
                         if self.audit {
@@ -596,21 +582,40 @@ impl EbfSolver {
                 ))
             }
             SteinerMode::Lazy { max_rounds, batch } => {
+                // Pair rows already in the LP, so the truncation fallback
+                // appends each missing pair exactly once.
+                let mut in_lp: HashSet<(NodeId, NodeId)> = HashSet::new();
                 for pair in seed_pairs(problem) {
                     add_steiner_row(&mut model, &pair);
+                    in_lp.insert(pair_key(&pair));
                     steiner_rows += 1;
                 }
                 if rec.enabled() {
                     rec.incr("ebf.seed_rows", steiner_rows as u64);
                 }
-                // On the simplex backends (dense and revised), the growing
-                // model lives in an incremental session: each separation
-                // round only appends rows, which the dual simplex repairs
-                // from the previous optimum instead of re-solving cold.
-                if matches!(
-                    self.backend,
-                    SolverBackend::Simplex | SolverBackend::Revised
-                ) {
+                let note_truncation = |rounds: usize| {
+                    if rec.enabled() {
+                        rec.incr("ebf.truncations", 1);
+                        rec.event(
+                            "ebf.truncation",
+                            &format!(
+                                "lazy budget exhausted after {rounds} round(s); \
+                                 materializing all {total_pairs} pair constraints"
+                            ),
+                        );
+                    }
+                };
+                let missing_pairs = |in_lp: &HashSet<(NodeId, NodeId)>| -> Vec<SinkPair> {
+                    all_pair_constraints(problem)
+                        .into_iter()
+                        .filter(|pair| !in_lp.contains(&pair_key(pair)))
+                        .collect()
+                };
+                // On the revised simplex, the growing model lives in an
+                // incremental session: each separation round only appends
+                // rows, which the dual simplex repairs from the previous
+                // optimum instead of re-solving cold.
+                if self.backend == SolverBackend::Revised {
                     let steiner_expr = |pair: &SinkPair| {
                         let path = topo.path_between(pair.a, pair.b);
                         LinExpr::from_terms(path.iter().map(|&e| (var_of(e), 1.0)))
@@ -620,14 +625,7 @@ impl EbfSolver {
                         // phases nest under `solve/lp`, while warm-started
                         // per-round resolves land under each round's span.
                         let _span = SpanGuard::enter(rec, "lp");
-                        match self.backend {
-                            SolverBackend::Simplex => GrowingSession::Dense(Box::new(
-                                lubt_lp::SimplexSession::start_with(model, self.simplex())?,
-                            )),
-                            _ => GrowingSession::Revised(Box::new(
-                                lubt_lp::RevisedSession::start_with(model, self.revised())?,
-                            )),
-                        }
+                        lubt_lp::RevisedSession::start_with(model, self.revised())?
                     };
                     let mut rounds = 0usize;
                     let mut truncated = false;
@@ -673,66 +671,71 @@ impl EbfSolver {
                         }
                         lp_iterations = iterations;
                         rounds += 1;
-                        let violated = {
-                            let _t = PhaseTimer::new(rec, "time.separation");
-                            let _span = SpanGuard::enter(rec, "separate");
-                            crate::steiner::violated_pairs_cached(
-                                problem,
-                                &lengths,
-                                self.violation_tol,
-                                self.threads,
-                                &mut sep_cache,
-                                rec,
-                            )
-                        };
-                        note_round(rounds, &violated);
-                        if violated.is_empty() {
-                            // Converged: the warm-started session's final
-                            // basis is the one the certificate describes —
-                            // audit it before returning the lengths.
-                            if let Some(sol) = &audited {
-                                let cert = session.certificate();
-                                audit_check(session.model(), sol, cert.as_ref())?;
-                            }
-                            let report = EbfReport {
-                                lp_iterations,
-                                separation_rounds: rounds,
-                                steiner_rows,
-                                total_pairs,
-                                truncated,
+                        // After truncation every pair row is in the LP, so
+                        // its optimum is exact: return it without separating
+                        // again. Float noise can leave a present row
+                        // violated above the tolerance, and appending rows
+                        // for it would grow the LP without bound.
+                        if !truncated {
+                            let violated = {
+                                let _t = PhaseTimer::new(rec, "time.separation");
+                                let _span = SpanGuard::enter(rec, "separate");
+                                crate::steiner::violated_pairs_cached(
+                                    problem,
+                                    &lengths,
+                                    self.violation_tol,
+                                    self.threads,
+                                    &mut sep_cache,
+                                    rec,
+                                )
                             };
-                            let warm = WarmEbfSession {
-                                session,
-                                edge_vars: edge_vars.clone(),
-                                n_nodes,
-                                report: report.clone(),
-                            };
-                            return Ok((lengths, report, Some(warm)));
-                        }
-                        let cuts: Vec<SinkPair> = if rounds >= max_rounds {
-                            // Safety net: materialize everything.
-                            truncated = true;
-                            if rec.enabled() {
-                                rec.incr("ebf.truncations", 1);
-                                rec.event(
-                                    "ebf.truncation",
-                                    &format!(
-                                        "lazy budget exhausted after {rounds} round(s); \
-                                         materializing all {total_pairs} pair constraints"
-                                    ),
-                                );
-                            }
-                            all_pair_constraints(problem)
-                        } else {
-                            violated.into_iter().take(batch).map(|(p, _)| p).collect()
-                        };
-                        for pair in cuts {
-                            session.add_constraint(steiner_expr(&pair), Cmp::Ge, pair.dist)?;
-                            steiner_rows += 1;
-                            if rec.enabled() {
-                                rec.incr("ebf.cuts_added", 1);
+                            note_round(rounds, &violated);
+                            if !violated.is_empty() {
+                                let cuts: Vec<SinkPair> = if rounds >= max_rounds {
+                                    // Safety net: materialize everything.
+                                    truncated = true;
+                                    note_truncation(rounds);
+                                    missing_pairs(&in_lp)
+                                } else {
+                                    violated.into_iter().take(batch).map(|(p, _)| p).collect()
+                                };
+                                for pair in cuts {
+                                    session.add_constraint(
+                                        steiner_expr(&pair),
+                                        Cmp::Ge,
+                                        pair.dist,
+                                    )?;
+                                    in_lp.insert(pair_key(&pair));
+                                    steiner_rows += 1;
+                                    if rec.enabled() {
+                                        rec.incr("ebf.cuts_added", 1);
+                                    }
+                                }
+                                continue;
                             }
                         }
+                        // Converged (or exact after truncation): the
+                        // warm-started session's final basis is the one the
+                        // certificate describes — audit it before returning
+                        // the lengths.
+                        if let Some(sol) = &audited {
+                            let cert = session.certificate();
+                            audit_check(session.model(), sol, cert.as_ref())?;
+                        }
+                        let report = EbfReport {
+                            lp_iterations,
+                            separation_rounds: rounds,
+                            steiner_rows,
+                            total_pairs,
+                            truncated,
+                        };
+                        let warm = WarmEbfSession {
+                            session,
+                            edge_vars: edge_vars.clone(),
+                            n_nodes,
+                            report: report.clone(),
+                        };
+                        return Ok((lengths, report, Some(warm)));
                     }
                 }
                 let mut rounds = 0usize;
@@ -772,17 +775,8 @@ impl EbfSolver {
                     }
                     if rounds >= max_rounds {
                         // Safety net: materialize everything and solve once.
-                        if rec.enabled() {
-                            rec.incr("ebf.truncations", 1);
-                            rec.event(
-                                "ebf.truncation",
-                                &format!(
-                                    "lazy budget exhausted after {rounds} round(s); \
-                                     materializing all {total_pairs} pair constraints"
-                                ),
-                            );
-                        }
-                        for pair in all_pair_constraints(problem) {
+                        note_truncation(rounds);
+                        for pair in missing_pairs(&in_lp) {
                             add_steiner_row(&mut model, &pair);
                             steiner_rows += 1;
                         }
@@ -802,6 +796,7 @@ impl EbfSolver {
                     }
                     for (pair, _) in violated.into_iter().take(batch) {
                         add_steiner_row(&mut model, &pair);
+                        in_lp.insert(pair_key(&pair));
                         steiner_rows += 1;
                         if rec.enabled() {
                             rec.incr("ebf.cuts_added", 1);
@@ -952,51 +947,6 @@ impl EbfSolver {
     }
 }
 
-/// The two incremental LP sessions behind one surface, so the lazy
-/// separation loop is written once.
-enum GrowingSession {
-    Dense(Box<lubt_lp::SimplexSession>),
-    Revised(Box<lubt_lp::RevisedSession>),
-}
-
-impl GrowingSession {
-    fn resolve(&mut self) -> Result<&lubt_lp::Solution, lubt_lp::LpError> {
-        match self {
-            GrowingSession::Dense(s) => s.resolve(),
-            GrowingSession::Revised(s) => s.resolve(),
-        }
-    }
-
-    fn add_constraint(
-        &mut self,
-        expr: LinExpr,
-        cmp: Cmp,
-        rhs: f64,
-    ) -> Result<(), lubt_lp::LpError> {
-        match self {
-            GrowingSession::Dense(s) => s.add_constraint(expr, cmp, rhs),
-            GrowingSession::Revised(s) => s.add_constraint(expr, cmp, rhs),
-        }
-    }
-
-    /// The session's grown model (base rows plus every appended cut) —
-    /// what the audit verifies certificates against.
-    fn model(&self) -> &Model {
-        match self {
-            GrowingSession::Dense(s) => s.model(),
-            GrowingSession::Revised(s) => s.model(),
-        }
-    }
-
-    /// The certificate of the most recent (re-)solve, if one is available.
-    fn certificate(&self) -> Option<lubt_lp::Certificate> {
-        match self {
-            GrowingSession::Dense(s) => s.certificate(),
-            GrowingSession::Revised(s) => s.certificate(),
-        }
-    }
-}
-
 /// A converged incremental LP session retained after
 /// [`EbfSolver::solve_retaining`], for warm re-solves of the *same*
 /// problem.
@@ -1009,7 +959,7 @@ impl GrowingSession {
 /// [`WarmEbfSession::resolve_lengths`] a zero-pivot replay whose lengths
 /// are bit-identical to the original solve's.
 pub struct WarmEbfSession {
-    session: GrowingSession,
+    session: lubt_lp::RevisedSession,
     edge_vars: Vec<Var>,
     n_nodes: usize,
     report: EbfReport,
@@ -1185,20 +1135,21 @@ mod tests {
     }
 
     #[test]
-    fn revised_backend_matches_dense_simplex() {
+    fn revised_backend_matches_the_exact_oracle() {
         let p = LubtBuilder::new(square())
             .source(Point::new(5.0, 5.0))
             .bounds(DelayBounds::uniform(4, 10.0, 14.0))
             .build()
             .unwrap();
-        let (dense, dr) = EbfSolver::new().solve(&p).unwrap();
-        let (revised, rr) = EbfSolver::new()
+        let (exact, _) = EbfSolver::new()
+            .with_backend(SolverBackend::Dp)
+            .solve(&p)
+            .unwrap();
+        let (revised, _) = EbfSolver::new()
             .with_backend(SolverBackend::Revised)
             .solve(&p)
             .unwrap();
-        assert!((tree_cost(&dense) - tree_cost(&revised)).abs() < 1e-6);
-        assert_eq!(dr.separation_rounds, rr.separation_rounds);
-        assert_eq!(dr.steiner_rows, rr.steiner_rows);
+        assert!((tree_cost(&exact) - tree_cost(&revised)).abs() < 1e-9);
         // Eager mode exercises the cold two-phase path instead of the
         // incremental session.
         let (eager, _) = EbfSolver::new()
@@ -1206,7 +1157,7 @@ mod tests {
             .with_steiner_mode(SteinerMode::Eager)
             .solve(&p)
             .unwrap();
-        assert!((tree_cost(&dense) - tree_cost(&eager)).abs() < 1e-6);
+        assert!((tree_cost(&exact) - tree_cost(&eager)).abs() < 1e-9);
     }
 
     #[test]
@@ -1242,9 +1193,7 @@ mod tests {
             report.separation_rounds as u64 - 1
         );
         assert!(trace.counter("lp.priced_columns") > 0, "{trace:?}");
-        // The revised backend must not touch the dense backend's keys.
-        assert_eq!(trace.counter("simplex.solves"), 0);
-        assert_eq!(trace.counter("simplex.pivots"), 0);
+        assert!(trace.counter("lp.pivots") > 0, "{trace:?}");
     }
 
     #[test]
@@ -1257,7 +1206,6 @@ mod tests {
             .build()
             .unwrap();
         for (backend, key) in [
-            (SolverBackend::Simplex, "audit.optimality_verified"),
             (SolverBackend::Revised, "audit.optimality_verified"),
             (SolverBackend::InteriorPoint, "audit.primal_verified"),
             (SolverBackend::Dp, "audit.primal_verified"),
@@ -1283,47 +1231,34 @@ mod tests {
             .bounds(DelayBounds::uniform(4, 10.0, 14.0))
             .build()
             .unwrap();
-        for backend in [SolverBackend::Simplex, SolverBackend::Revised] {
-            let (result, trace) = EbfSolver::new()
-                .with_backend(backend)
-                .with_steiner_mode(SteinerMode::Eager)
-                .with_audit(true)
-                .solve_traced(&p);
-            assert!(result.is_ok(), "{backend:?}");
-            assert_eq!(trace.counter("audit.optimality_verified"), 1, "{backend:?}");
-            assert_eq!(trace.counter("audit.failures"), 0, "{backend:?}");
-        }
+        let (result, trace) = EbfSolver::new()
+            .with_steiner_mode(SteinerMode::Eager)
+            .with_audit(true)
+            .solve_traced(&p);
+        assert!(result.is_ok());
+        assert_eq!(trace.counter("audit.optimality_verified"), 1);
+        assert_eq!(trace.counter("audit.failures"), 0);
     }
 
     #[test]
     fn audited_infeasibility_verifies_a_farkas_ray() {
         // With prelint off, the LP itself certifies infeasibility; under
         // audit the Farkas ray must verify exactly before the Infeasible
-        // error is surfaced (on both simplex backends, warm and cold).
+        // error is surfaced (warm session and cold solve alike).
         let p = LubtBuilder::new(square())
             .source(Point::new(5.0, 5.0))
             .bounds(DelayBounds::upper_only(4, 5.0))
             .build()
             .unwrap();
-        for backend in [SolverBackend::Simplex, SolverBackend::Revised] {
-            for mode in [SteinerMode::default_lazy(), SteinerMode::Eager] {
-                let (result, trace) = EbfSolver::new()
-                    .with_backend(backend)
-                    .with_steiner_mode(mode)
-                    .with_prelint(false)
-                    .with_audit(true)
-                    .solve_traced(&p);
-                assert!(
-                    matches!(result, Err(LubtError::Infeasible)),
-                    "{backend:?}/{mode:?}"
-                );
-                assert_eq!(
-                    trace.counter("audit.farkas_verified"),
-                    1,
-                    "{backend:?}/{mode:?}"
-                );
-                assert_eq!(trace.counter("audit.failures"), 0, "{backend:?}/{mode:?}");
-            }
+        for mode in [SteinerMode::default_lazy(), SteinerMode::Eager] {
+            let (result, trace) = EbfSolver::new()
+                .with_steiner_mode(mode)
+                .with_prelint(false)
+                .with_audit(true)
+                .solve_traced(&p);
+            assert!(matches!(result, Err(LubtError::Infeasible)), "{mode:?}");
+            assert_eq!(trace.counter("audit.farkas_verified"), 1, "{mode:?}");
+            assert_eq!(trace.counter("audit.failures"), 0, "{mode:?}");
         }
     }
 
@@ -1381,7 +1316,8 @@ mod tests {
             .solve(&p)
             .unwrap();
         assert!(report.truncated, "safety net fired, report must say so");
-        assert!(report.steiner_rows > report.total_pairs);
+        // The fallback appends only the missing pairs: each row once.
+        assert_eq!(report.steiner_rows, report.total_pairs);
         let diag = report.truncation_diagnostic().expect("warn note expected");
         assert_eq!(diag.pass, "lazy-truncation");
         assert_eq!(diag.level, lubt_lint::Level::Warn);
@@ -1391,6 +1327,56 @@ mod tests {
             .solve(&p)
             .unwrap();
         assert!((tree_cost(&lengths) - tree_cost(&eager)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn truncation_resolves_once_and_stops_growing_the_lp() {
+        // A negative tolerance makes separation report pairs that are
+        // already satisfied, so it never comes back empty. After the
+        // truncation fallback has put every pair row in, the solve must
+        // return the exact optimum instead of appending rows forever.
+        let sinks = vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 0.0),
+            Point::new(0.0, 10.0),
+            Point::new(10.0, 10.0),
+            Point::new(5.0, 3.0),
+            Point::new(2.0, 7.0),
+        ];
+        let p = LubtBuilder::new(sinks)
+            .bounds(DelayBounds::uniform(6, 10.0, 16.0))
+            .build()
+            .unwrap();
+        let seed_rows = seed_pairs(&p).len();
+        let (eager, _) = EbfSolver::new()
+            .with_steiner_mode(SteinerMode::Eager)
+            .solve(&p)
+            .unwrap();
+        for backend in [SolverBackend::Revised, SolverBackend::InteriorPoint] {
+            let (result, trace) = EbfSolver::new()
+                .with_backend(backend)
+                .with_violation_tolerance(-1.0)
+                .with_steiner_mode(SteinerMode::Lazy {
+                    max_rounds: 2,
+                    batch: 256,
+                })
+                .solve_traced(&p);
+            let (lengths, report) = result.unwrap();
+            assert!(report.truncated, "{backend:?}");
+            assert_eq!(report.total_pairs, 15);
+            assert!(
+                report.steiner_rows <= seed_rows + report.total_pairs,
+                "{backend:?}: {} rows from {seed_rows} seeds",
+                report.steiner_rows
+            );
+            assert_eq!(report.separation_rounds, 3, "{backend:?}");
+            assert_eq!(trace.counter("ebf.truncations"), 1, "{backend:?}");
+            let scale = 1.0 + tree_cost(&eager);
+            assert!(
+                (tree_cost(&lengths) - tree_cost(&eager)).abs() / scale < 1e-6,
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
@@ -1445,13 +1431,13 @@ mod tests {
         );
         // LP accounting: the session cold-starts once (a full solve), then
         // re-solves incrementally once per cut-adding round.
-        assert!(trace.counter("simplex.solves") >= 1);
+        assert!(trace.counter("lp.solves") >= 1);
         assert_eq!(
-            trace.counter("simplex.resolves"),
+            trace.counter("lp.resolves"),
             report.separation_rounds as u64 - 1
         );
-        assert!(trace.counter("simplex.pivots") >= 1);
-        assert!(trace.gauge("simplex.limit_fraction").is_some());
+        assert!(trace.counter("lp.pivots") >= 1);
+        assert!(trace.gauge("lp.limit_fraction").is_some());
         // Wall-clock phases were timed (values are run-dependent, presence
         // is not).
         assert!(trace.timings_ns.contains_key("time.lp"));
@@ -1500,13 +1486,13 @@ mod tests {
         assert_eq!(diag.level, lubt_lint::Level::Deny);
         assert!(diag.message.contains('1'));
         // ... and the trace still carries the counters up to the failure.
-        assert!(trace.counter("simplex.iteration_limit_hits") >= 1);
+        assert!(trace.counter("lp.iteration_limit_hits") >= 1);
         // A generous limit solves fine and stays far from the cap.
         let (result, trace) = EbfSolver::new()
             .with_max_lp_iterations(100_000)
             .solve_traced(&p);
         assert!(result.is_ok());
-        let frac = trace.gauge("simplex.limit_fraction").unwrap();
+        let frac = trace.gauge("lp.limit_fraction").unwrap();
         assert!(frac > 0.0 && frac < 0.01, "limit proximity {frac}");
     }
 
@@ -1551,14 +1537,14 @@ mod tests {
             .bounds(DelayBounds::uniform(4, 10.0, 14.0))
             .build()
             .unwrap();
-        let (simplex, _) = EbfSolver::new().solve(&p).unwrap();
+        let (float, _) = EbfSolver::new().solve(&p).unwrap();
         let (dp, report) = EbfSolver::new()
             .with_backend(SolverBackend::Dp)
             .solve(&p)
             .unwrap();
         // The exact oracle and the float simplex must land on the same
         // optimum to float accuracy.
-        assert!((tree_cost(&simplex) - tree_cost(&dp)).abs() < 1e-9);
+        assert!((tree_cost(&float) - tree_cost(&dp)).abs() < 1e-9);
         assert_eq!(report.separation_rounds, 1);
         assert_eq!(report.total_pairs, 6);
         assert_eq!(report.steiner_rows, 6);
@@ -1602,7 +1588,7 @@ mod tests {
         assert!(trace.counter("dp.pivots") >= 1, "{trace:?}");
         assert!(trace.timings_ns.contains_key("time.dp"));
         // The DP path never touches the LP backends or their counters.
-        assert_eq!(trace.counter("simplex.pivots"), 0);
+        assert_eq!(trace.counter("lp.pivots"), 0);
         assert_eq!(trace.counter("lp.solves"), 0);
         assert_eq!(trace.counter("ebf.rounds"), 0);
     }

@@ -12,7 +12,7 @@
 use crate::steiner::{seed_pairs, violated_pairs, SinkPair};
 use crate::{LubtError, LubtProblem};
 use lubt_delay::elmore::{delay_gradient, node_delays, ElmoreParams};
-use lubt_lp::{Cmp, LinExpr, LpSolve, Model, SimplexSolver, Status};
+use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSolver, Status};
 use lubt_topology::NodeId;
 
 /// Diagnostics from an Elmore-EBF solve.
@@ -191,7 +191,7 @@ impl ElmoreEbf {
                 }
             }
 
-            let sol = SimplexSolver::new().solve(&model)?;
+            let sol = RevisedSolver::new().solve(&model)?;
             match sol.status() {
                 Status::Optimal => {}
                 Status::Infeasible => {

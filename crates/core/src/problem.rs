@@ -224,8 +224,8 @@ impl LubtProblem {
         lubt_lint::LintRegistry::default().run(&self.lint_input(None))
     }
 
-    /// Solves with the default pipeline: lazy-constraint EBF on the simplex
-    /// backend, then geometric embedding with closest-to-parent placement.
+    /// Solves with the default pipeline: lazy-constraint EBF on the revised
+    /// simplex backend, then geometric embedding with closest-to-parent placement.
     ///
     /// # Errors
     ///
@@ -330,7 +330,7 @@ impl LubtBuilder {
             strategy: TopologyStrategy::default(),
             bounds: None,
             weights: None,
-            backend: SolverBackend::Simplex,
+            backend: SolverBackend::Revised,
             steiner_mode: SteinerMode::default_lazy(),
             placement: PlacementPolicy::ClosestToParent,
             threads: 1,
@@ -376,7 +376,7 @@ impl LubtBuilder {
         self
     }
 
-    /// Selects the LP backend (default: simplex).
+    /// Selects the LP backend (default: revised simplex).
     #[must_use]
     pub fn backend(mut self, backend: SolverBackend) -> Self {
         self.backend = backend;
@@ -496,7 +496,7 @@ impl LubtBuilder {
 
     /// [`LubtBuilder::solve`], additionally retaining the converged LP
     /// session (when the configured pipeline produces one — lazy Steiner
-    /// mode on a simplex backend, audit off) as a [`WarmLubtSession`].
+    /// mode on the revised backend, audit off) as a [`WarmLubtSession`].
     ///
     /// The handle re-derives the *entire* solution — lengths from the
     /// retained basis with zero pivots, then the deterministic embedding
@@ -669,27 +669,25 @@ mod tests {
 
     #[test]
     fn warm_session_replays_are_bit_identical() {
-        for backend in [SolverBackend::Simplex, SolverBackend::Revised] {
-            let builder = LubtBuilder::new(square_sinks())
-                .source(Point::new(5.0, 5.0))
-                .bounds(DelayBounds::uniform(4, 10.0, 14.0))
-                .backend(backend);
-            let (cold, warm) = builder.solve_retaining().expect("feasible");
-            let mut warm = warm.expect("lazy simplex solves retain their session");
-            // Replay twice: the session must stay resolvable and exact.
-            for _ in 0..2 {
-                let replay = warm.resolve().expect("warm replay");
-                assert_eq!(replay.edge_lengths(), cold.edge_lengths(), "{backend:?}");
-                assert_eq!(replay.positions(), cold.positions(), "{backend:?}");
-                assert_eq!(
-                    crate::solution_to_json(&replay),
-                    crate::solution_to_json(&cold),
-                    "{backend:?}: serialized bytes must match"
-                );
-            }
-            // The retained report describes the original solve.
-            assert_eq!(warm.ebf.report(), cold.report());
+        let builder = LubtBuilder::new(square_sinks())
+            .source(Point::new(5.0, 5.0))
+            .bounds(DelayBounds::uniform(4, 10.0, 14.0))
+            .backend(SolverBackend::Revised);
+        let (cold, warm) = builder.solve_retaining().expect("feasible");
+        let mut warm = warm.expect("lazy revised solves retain their session");
+        // Replay twice: the session must stay resolvable and exact.
+        for _ in 0..2 {
+            let replay = warm.resolve().expect("warm replay");
+            assert_eq!(replay.edge_lengths(), cold.edge_lengths());
+            assert_eq!(replay.positions(), cold.positions());
+            assert_eq!(
+                crate::solution_to_json(&replay),
+                crate::solution_to_json(&cold),
+                "serialized bytes must match"
+            );
         }
+        // The retained report describes the original solve.
+        assert_eq!(warm.ebf.report(), cold.report());
         // Paths that cannot retain a session say so instead of lying.
         let (_, warm) = LubtBuilder::new(square_sinks())
             .bounds(DelayBounds::uniform(4, 10.0, 16.0))

@@ -12,7 +12,7 @@
 //!
 //! # Orientation
 //!
-//! Internally both backends normalize rows so the standard-form rhs is
+//! Internally the standard forms normalize rows so the rhs is
 //! non-negative (`B_int = D · B_orig` for a ±1 diagonal `D`). Certificates
 //! are stated over `B_orig`:
 //!

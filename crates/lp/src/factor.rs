@@ -12,8 +12,7 @@
 //! * one **append block** per incremental row batch: appending `k` rows
 //!   whose fresh slacks enter the basis gives `B_new = [[B, 0], [C, I]]`,
 //!   whose inverse `[[B^{-1}, 0], [-C·B^{-1}, I]]` is applied without
-//!   touching the existing factors at all — the sparse analogue of
-//!   `Tableau::append_rows`, but `O(nnz(C))` instead of a full re-layout.
+//!   touching the existing factors at all — `O(nnz(C))` per batch.
 //!
 //! `ftran` applies the operators in order (`x = B^{-1} v`), `btran`
 //! applies their transposes in reverse (`y = B^{-T} v`).

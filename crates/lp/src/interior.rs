@@ -18,7 +18,7 @@ use crate::{LpError, LpSolve, Model, Solution, Status};
 /// problems but — unlike the simplex — do not produce combinatorial
 /// certificates. For infeasible or unbounded models this solver reports
 /// [`LpError::IterationLimit`]; callers wanting certified infeasibility
-/// should use [`crate::SimplexSolver`] (the EBF driver does exactly that).
+/// should use [`crate::RevisedSolver`] (the EBF solver does exactly that).
 ///
 /// Set the environment variable `LP_IPM_TRACE=1` to print per-iteration
 /// residuals and the duality gap to stderr (convergence debugging).
@@ -312,7 +312,7 @@ fn max_step(z: &[f64], dz: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::model::{Cmp, LinExpr};
-    use crate::SimplexSolver;
+    use crate::RevisedSolver;
 
     fn expr(terms: &[(crate::Var, f64)]) -> LinExpr {
         LinExpr::from_terms(terms.iter().copied())
@@ -325,7 +325,7 @@ mod tests {
         let y = m.add_var(0.0, 2.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 3.0);
         m.add_constraint(expr(&[(y, 1.0)]), Cmp::Le, 2.0);
-        let si = SimplexSolver::new().solve(&m).unwrap();
+        let si = RevisedSolver::new().solve(&m).unwrap();
         let ip = InteriorPointSolver::new().solve(&m).unwrap();
         assert!(ip.is_optimal());
         assert!((si.objective() - ip.objective()).abs() < 1e-5);
@@ -408,7 +408,7 @@ mod tests {
             };
             m.add_constraint(e, cmp, slacked);
         }
-        let si = SimplexSolver::new().solve(&m).unwrap();
+        let si = RevisedSolver::new().solve(&m).unwrap();
         let ip = InteriorPointSolver::new().solve(&m).unwrap();
         assert!(si.is_optimal() && ip.is_optimal());
         let scale = 1.0 + si.objective().abs();

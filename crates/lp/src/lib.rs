@@ -4,16 +4,15 @@
 //! LOQO. This crate provides two self-contained solvers with the same
 //! surface:
 //!
-//! * [`SimplexSolver`] — a two-phase dense-tableau primal simplex with
-//!   Dantzig pricing and an automatic switch to Bland's anti-cycling rule.
+//! * [`RevisedSolver`] — a two-phase sparse revised primal simplex with
+//!   partial Dantzig pricing and an automatic switch to Bland's anti-cycling
+//!   rule. The constraint matrix stays column-sparse and only a
+//!   product-form basis factorization is kept; a [`WarmStart`] token or a
+//!   [`RevisedSession`] re-optimizes grown models with the dual simplex.
 //!   Exact infeasibility/unboundedness certificates; the default choice.
 //! * [`InteriorPointSolver`] — a Mehrotra predictor-corrector primal-dual
 //!   interior-point method (the algorithm family LOQO belongs to), solving
 //!   the normal equations with a dense Cholesky factorization.
-//! * [`RevisedSolver`] — a sparse revised simplex sharing the dense
-//!   backend's pivot rules and [`WarmStart`] token format, but storing the
-//!   constraint matrix column-sparse and keeping only a product-form basis
-//!   factorization; the fast path for large Steiner-row LPs.
 //!
 //! Problems are described with the [`Model`] builder and solved through the
 //! [`LpSolve`] trait.
@@ -21,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use lubt_lp::{Cmp, LinExpr, LpSolve, Model, SimplexSolver, Status};
+//! use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSolver, Status};
 //!
 //! // min  x + 2y   s.t.  x + y >= 3,  y <= 2,  x, y >= 0
 //! let mut m = Model::new();
@@ -30,7 +29,7 @@
 //! m.add_constraint(LinExpr::from_terms([(x, 1.0), (y, 1.0)]), Cmp::Ge, 3.0);
 //! m.add_constraint(LinExpr::from_terms([(y, 1.0)]), Cmp::Le, 2.0);
 //!
-//! let sol = SimplexSolver::new().solve(&m)?;
+//! let sol = RevisedSolver::new().solve(&m)?;
 //! assert_eq!(sol.status(), Status::Optimal);
 //! assert!((sol.objective() - 3.0).abs() < 1e-7); // x = 3, y = 0
 //! # Ok::<(), lubt_lp::LpError>(())
@@ -48,8 +47,6 @@ mod lp_format;
 mod model;
 mod presolve;
 mod revised;
-mod session;
-mod simplex;
 mod solution;
 mod sparse;
 mod standard;
@@ -60,9 +57,7 @@ pub use interior::InteriorPointSolver;
 pub use lp_format::write_lp;
 pub use model::{Cmp, LinExpr, Model, Var};
 pub use presolve::{presolve, Presolved};
-pub use revised::{RevisedSession, RevisedSolver};
-pub use session::SimplexSession;
-pub use simplex::{SimplexSolver, WarmStart};
+pub use revised::{RevisedSession, RevisedSolver, WarmStart};
 pub use solution::{Solution, Status};
 
 /// Absolute feasibility tolerance used by both solvers on the (scaled)

@@ -149,7 +149,7 @@ pub fn presolve(model: &Model) -> Presolved {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LpSolve, SimplexSolver};
+    use crate::{LpSolve, RevisedSolver};
 
     fn expr(terms: &[(Var, f64)]) -> LinExpr {
         LinExpr::from_terms(terms.iter().copied())
@@ -255,8 +255,8 @@ mod tests {
             panic!("feasible");
         };
         assert_eq!(rows_removed, 2);
-        let s1 = SimplexSolver::new().solve(&m).unwrap();
-        let s2 = SimplexSolver::new().solve(&model).unwrap();
+        let s1 = RevisedSolver::new().solve(&m).unwrap();
+        let s2 = RevisedSolver::new().solve(&model).unwrap();
         assert!((s1.objective() - s2.objective()).abs() < 1e-9);
     }
 }

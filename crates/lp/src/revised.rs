@@ -1,12 +1,12 @@
-//! Sparse **revised simplex**: the same two-phase primal / dual-repair
-//! algorithm as [`crate::SimplexSolver`], but operating on the sparse
-//! column store of [`crate::sparse::SparseForm`] with only the basis
-//! factorization ([`crate::factor::Factor`]) in memory — no tableau.
+//! Sparse **revised simplex**: a two-phase primal simplex with a dual
+//! simplex repair for grown models, operating on the sparse column store
+//! of [`crate::sparse::SparseForm`] with only the basis factorization
+//! ([`crate::factor::Factor`]) in memory — no tableau.
 //!
 //! Per iteration the kernel performs one BTRAN (`y = B^{-T} c_B`), a
 //! partial-pricing scan of candidate columns (`d_j = c_j - y·a_j` via
 //! sparse dots), one FTRAN (`w = B^{-1} a_q`), the ratio test, and a
-//! product-form eta update — `O(nnz)` work where the dense tableau pivot
+//! product-form eta update — `O(nnz)` work where a dense tableau pivot
 //! pays `O(m · n)`. Pricing uses a cyclic candidate window with a
 //! most-negative rule and smallest-index tie-break, falling back to
 //! Bland's rule after a degenerate stall; every choice is a deterministic
@@ -16,21 +16,21 @@
 //! Counters (routed through the solver's [`Recorder`]): `lp.pivots`,
 //! `lp.dual_pivots`, `lp.priced_columns`, `lp.refactorizations`,
 //! `lp.eta_len` (high-water update-list length), `lp.solves`,
-//! `lp.resolves`, `lp.peak_pivots`, and the `lp.limit_fraction` gauge —
-//! deliberately disjoint from the dense backend's `simplex.*` keys so
-//! bench documents can hold both without aliasing.
+//! `lp.resolves`, `lp.peak_pivots`, `lp.degenerate_pivots`,
+//! `lp.bland_activations`, `lp.iteration_limit_hits`, and the
+//! `lp.limit_fraction` gauge.
 
 // Index-based loops are the natural idiom for the dense work vectors here.
 #![allow(clippy::needless_range_loop)]
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use lubt_obs::Recorder;
 
 use crate::certificate::{CertSeed, Certificate, ColumnRole};
 use crate::factor::Factor;
 use crate::model::{Cmp, LinExpr, Model};
-use crate::simplex::{elapsed_ns, PhaseAgg, ReoptOutcome, WarmStart};
 use crate::sparse::SparseForm;
 use crate::{LpError, LpSolve, Solution, Status};
 
@@ -49,8 +49,60 @@ const PRICE_WINDOW_MIN: usize = 64;
 /// the scan itself.
 const PAR_SCAN_MIN: usize = 128;
 
-/// Sparse revised-simplex solver over the same [`Model`]/[`Solution`]
-/// surface as the dense backends.
+/// Opaque warm-start token: the optimal basis of a previous solve, reusable
+/// after the model has *grown* (same variables, rows only appended — the
+/// lazy-separation pattern of the EBF).
+///
+/// Obtained from [`RevisedSolver::solve_warm`]; feeding it back turns the
+/// re-solve into a **dual simplex** run that starts from the old optimum
+/// and only repairs the newly violated rows.
+#[derive(Debug, Clone)]
+pub struct WarmStart {
+    pub(crate) basis: Vec<usize>,
+    pub(crate) num_vars: usize,
+    pub(crate) num_rows: usize,
+}
+
+/// Nanoseconds since `t0`, saturating.
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Wall clock and hit count of one simplex phase, aggregated locally in
+/// the inner loop so the profiling span costs one recorder call per
+/// phase run — never one per pivot.
+#[derive(Default, Clone, Copy)]
+struct PhaseAgg {
+    pub hits: u64,
+    pub ns: u64,
+}
+
+impl PhaseAgg {
+    /// Times `f` when `on`, adding one hit and the elapsed nanoseconds.
+    pub fn time<T>(&mut self, on: bool, f: impl FnOnce() -> T) -> T {
+        if !on {
+            return f();
+        }
+        let t0 = Instant::now();
+        let out = f();
+        self.hits += 1;
+        self.ns = self.ns.saturating_add(elapsed_ns(t0));
+        out
+    }
+}
+
+/// Outcome of a dual-then-primal re-optimization, carrying the certifying
+/// row position on infeasibility so incremental sessions can seed a
+/// [`CertSeed::DualRow`] Farkas certificate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReoptOutcome {
+    Optimal,
+    Unbounded,
+    Infeasible { row: usize },
+}
+
+/// Sparse revised-simplex solver over the [`Model`]/[`Solution`] surface
+/// shared with the interior-point backend.
 ///
 /// # Example
 ///
@@ -146,11 +198,10 @@ impl RevisedSolver {
         );
     }
 
-    /// Solves, optionally starting from a previous optimal basis — the
-    /// revised-form counterpart of
-    /// [`crate::SimplexSolver::solve_warm`], accepting the **same**
-    /// [`WarmStart`] tokens (both backends number standard-form columns
-    /// identically).
+    /// Solves, optionally starting from a previous optimal basis. A token
+    /// from an earlier solve of a model that has since only *grown*
+    /// (rows appended) turns the re-solve into a dual simplex repair from
+    /// the old optimum; a stale or noisy token falls back to a cold solve.
     ///
     /// # Errors
     ///
@@ -196,7 +247,7 @@ impl RevisedSolver {
         };
         kernel.threads = lubt_par::resolve_threads(self.threads);
         // Verify dual feasibility of the token's basis; noisy tokens fall
-        // back to a cold solve, like the dense path.
+        // back to a cold solve.
         let dual_tol = 1e-7 * (1.0 + kernel.sf.c.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
         let y = kernel.duals(false);
         for j in 0..kernel.sf.n {
@@ -297,8 +348,7 @@ impl RevisedSolver {
             ));
         }
 
-        // Seed the basis with usable (+1) slacks, artificials elsewhere —
-        // the same rule and artificial numbering as the dense backend.
+        // Seed the basis with usable (+1) slacks, artificials elsewhere.
         let mut basis = Vec::with_capacity(m);
         let mut art_rows = Vec::new();
         for i in 0..m {
@@ -908,7 +958,8 @@ impl Kernel {
     }
 
     /// Dual simplex from a dual-feasible basis with possibly negative
-    /// basic values, mirroring the dense `run_dual_phase`.
+    /// basic values: pivots until the basis is primal feasible (optimal)
+    /// or a row certifies an empty feasible region.
     fn dual(
         &mut self,
         iters: &mut usize,
@@ -1132,11 +1183,12 @@ impl Kernel {
 /// variables, sense, shifted right-hand side.
 type PendingRow = (Vec<(usize, f64)>, Cmp, f64);
 
-/// Incremental revised-simplex session: the sparse counterpart of
-/// [`crate::SimplexSession`], with the same grow-by-appending-rows
-/// surface. Each appended batch becomes a single `O(nnz)` append-block
-/// operator on the basis factorization — no tableau re-layout, no
-/// re-elimination against existing rows.
+/// Incremental revised-simplex session for models that grow by appended
+/// rows — the lazy-separation pattern of the EBF. Each appended batch
+/// becomes a single `O(nnz)` append-block operator on the basis
+/// factorization — no re-elimination against existing rows — and the next
+/// [`RevisedSession::resolve`] repairs the old optimum with the dual
+/// simplex.
 ///
 /// # Example
 ///
@@ -1175,7 +1227,10 @@ impl RevisedSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::SimplexSession::start`].
+    /// * [`LpError`] on validation/numerics;
+    /// * models that are initially infeasible or unbounded are *not*
+    ///   errors — query [`RevisedSession::solution`] for the status, but
+    ///   such sessions cannot be grown.
     pub fn start(model: Model) -> Result<Self, LpError> {
         Self::start_with(model, RevisedSolver::new())
     }
@@ -1185,7 +1240,10 @@ impl RevisedSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::SimplexSession::start`].
+    /// * [`LpError`] on validation/numerics;
+    /// * models that are initially infeasible or unbounded are *not*
+    ///   errors — query [`RevisedSession::solution`] for the status, but
+    ///   such sessions cannot be grown.
     pub fn start_with(model: Model, solver: RevisedSolver) -> Result<Self, LpError> {
         let (solution, kernel, cert_seed) = solver.solve_keeping_kernel(&model)?;
         let infeasible = solution.status() != Status::Optimal;
@@ -1227,7 +1285,10 @@ impl RevisedSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::SimplexSession::add_constraint`].
+    /// [`LpError::NonFiniteInput`] for bad numbers and
+    /// [`LpError::UnknownVariable`] for foreign variables; equality rows are
+    /// not supported incrementally (`NumericalBreakdown` explains why —
+    /// start a fresh session instead).
     pub fn add_constraint(&mut self, expr: LinExpr, cmp: Cmp, rhs: f64) -> Result<(), LpError> {
         if cmp == Cmp::Eq {
             return Err(LpError::NumericalBreakdown(
@@ -1277,7 +1338,10 @@ impl RevisedSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::SimplexSession::resolve`].
+    /// [`LpError::IterationLimit`] on pivot-budget exhaustion. An
+    /// *infeasible* grown model is reported via the returned solution's
+    /// status, and the session becomes permanently infeasible (appending
+    /// rows cannot restore feasibility).
     pub fn resolve(&mut self) -> Result<&Solution, LpError> {
         if self.infeasible {
             self.pending.clear();
@@ -1425,45 +1489,49 @@ impl std::fmt::Debug for RevisedSession {
 mod tests {
     use super::*;
     use crate::model::Var;
-    use crate::SimplexSolver;
 
     fn expr(terms: &[(Var, f64)]) -> LinExpr {
         LinExpr::from_terms(terms.iter().copied())
     }
 
-    fn assert_agrees(m: &Model) {
-        let dense = SimplexSolver::new().solve(m).unwrap();
-        let revised = RevisedSolver::new().solve(m).unwrap();
-        assert_eq!(dense.status(), revised.status());
-        if dense.is_optimal() {
-            assert!(
-                (dense.objective() - revised.objective()).abs()
-                    < 1e-9 * (1.0 + dense.objective().abs()),
-                "dense {} vs revised {}",
-                dense.objective(),
-                revised.objective()
-            );
-            assert!(m.check_feasible(revised.values(), 1e-6).is_ok());
-        }
+    /// Solves `m`, expecting a feasible optimum of value `objective`.
+    fn assert_optimal(m: &Model, objective: f64) {
+        let s = RevisedSolver::new().solve(m).unwrap();
+        assert!(s.is_optimal(), "{:?}", s.status());
+        assert!(
+            (s.objective() - objective).abs() < 1e-9 * (1.0 + objective.abs()),
+            "expected {objective}, got {}",
+            s.objective()
+        );
+        assert!(m.check_feasible(s.values(), 1e-6).is_ok());
     }
 
     #[test]
-    fn agrees_with_dense_on_basic_shapes() {
-        // Optimal with mixed senses and shifted bounds.
+    fn solves_basic_shapes_to_their_known_optima() {
+        // Optimal with mixed senses: y = 2, x = 2.
         let mut m = Model::new();
         let x = m.add_var(0.0, -1.0);
         let y = m.add_var(0.0, -2.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Le, 4.0);
         m.add_constraint(expr(&[(y, 1.0)]), Cmp::Le, 2.0);
-        assert_agrees(&m);
+        assert_optimal(&m, -6.0);
 
+        // Shifted bounds and an equality: y = 3 forces x >= 4.
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
         let y = m.add_var(2.0, 3.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 5.0);
         m.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Cmp::Ge, 1.0);
         m.add_constraint(expr(&[(y, 1.0)]), Cmp::Eq, 3.0);
-        assert_agrees(&m);
+        assert_optimal(&m, 13.0);
+
+        // Two equalities pin x = y = 2.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 2.0);
+        let y = m.add_var(0.0, 3.0);
+        m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Eq, 4.0);
+        m.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Cmp::Eq, 0.0);
+        assert_optimal(&m, 10.0);
     }
 
     #[test]
@@ -1488,7 +1556,7 @@ mod tests {
     }
 
     #[test]
-    fn no_constraints_matches_dense() {
+    fn no_constraints_sits_at_lower_bounds() {
         let mut m = Model::new();
         let x = m.add_var(2.0, 1.0);
         let y = m.add_var(-1.0, 3.0);
@@ -1546,25 +1614,79 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_tokens_transfer_between_backends() {
+    fn warm_start_tokens_chain_across_grown_models() {
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
         let y = m.add_var(0.0, 1.0);
         m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 4.0);
-        // Dense-produced token consumed by the revised solver...
-        let (s1, warm) = SimplexSolver::new().solve_warm(&m, None).unwrap();
+        // A cold solve's token seeds the first grown re-solve...
+        let (s1, warm) = RevisedSolver::new().solve_warm(&m, None).unwrap();
         assert!(s1.is_optimal());
         let warm = warm.expect("optimal basis yields a token");
         m.add_constraint(expr(&[(x, 1.0)]), Cmp::Ge, 3.0);
         let (s2, warm2) = RevisedSolver::new().solve_warm(&m, Some(&warm)).unwrap();
         assert!(s2.is_optimal());
         assert!((s2.objective() - 4.0).abs() < 1e-7);
-        // ...and the revised token consumed by the dense solver.
+        // ...and the warm re-solve's own token seeds the next one.
         let warm2 = warm2.expect("optimal basis yields a token");
         m.add_constraint(expr(&[(y, 1.0)]), Cmp::Ge, 1.5);
-        let (s3, _) = SimplexSolver::new().solve_warm(&m, Some(&warm2)).unwrap();
+        let (s3, _) = RevisedSolver::new().solve_warm(&m, Some(&warm2)).unwrap();
         assert!(s3.is_optimal());
         assert!((s3.objective() - 4.5).abs() < 1e-7);
+    }
+
+    #[test]
+    fn certified_solves_carry_matching_certificates() {
+        // Optimal: certificate duals must agree with the solution's duals.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 1.0);
+        let y = m.add_var(0.0, 2.0);
+        m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 3.0);
+        m.add_constraint(expr(&[(x, 1.0)]), Cmp::Le, 2.0);
+        let (s, cert) = RevisedSolver::new().solve_certified(&m).unwrap();
+        assert!(s.is_optimal());
+        let Some(Certificate::Optimality(opt)) = cert else {
+            panic!("optimal solve must certify");
+        };
+        let duals = s.duals().unwrap();
+        assert_eq!(opt.duals.len(), duals.len());
+        for (a, b) in opt.duals.iter().zip(duals) {
+            assert!((a - b).abs() < 1e-9, "{:?} vs {duals:?}", opt.duals);
+        }
+        // b'y equals the objective (strong duality).
+        let dual_obj = 3.0 * opt.duals[0] + 2.0 * opt.duals[1];
+        assert!((dual_obj - s.objective()).abs() < 1e-6);
+
+        // Infeasible: the Farkas ray must prove the contradiction.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 1.0);
+        m.add_constraint(expr(&[(x, 1.0)]), Cmp::Ge, 5.0);
+        m.add_constraint(expr(&[(x, 1.0)]), Cmp::Le, 3.0);
+        let (s, cert) = RevisedSolver::new().solve_certified(&m).unwrap();
+        assert_eq!(s.status(), Status::Infeasible);
+        let Some(Certificate::Farkas(f)) = cert else {
+            panic!("infeasible solve must certify");
+        };
+        assert_eq!(f.ray.len(), 2);
+        assert!(f.ray[0] >= -1e-9, "Ge multiplier sign: {:?}", f.ray);
+        assert!(f.ray[1] <= 1e-9, "Le multiplier sign: {:?}", f.ray);
+        // Column condition and positive gap.
+        let d = f.ray[0] + f.ray[1];
+        assert!(d.abs() < 1e-9, "column sum {d}");
+        let gap = 5.0 * f.ray[0] + 3.0 * f.ray[1];
+        assert!(gap > 1e-9, "gap {gap}");
+    }
+
+    #[test]
+    fn duplicate_terms_in_appended_rows_combine() {
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 1.0);
+        m.add_constraint(expr(&[(x, 1.0)]), Cmp::Le, 100.0);
+        let mut s = RevisedSession::start(m).unwrap();
+        s.add_constraint(expr(&[(x, 1.0), (x, 2.0)]), Cmp::Ge, 9.0)
+            .unwrap();
+        let sol = s.resolve().unwrap();
+        assert!((sol.value(x) - 3.0).abs() < 1e-7);
     }
 
     #[test]
@@ -1639,7 +1761,7 @@ mod tests {
     #[test]
     fn many_appended_rows_force_refactorizations() {
         // Enough growth and re-pivoting to cross the eta-refresh trigger;
-        // the answer must keep matching cold dense solves throughout.
+        // the dual-repaired answer must match a cold primal solve.
         let rec = std::sync::Arc::new(lubt_obs::TraceRecorder::new());
         let mut base = Model::new();
         let vars = base.add_vars(12, 0.0, 1.0);
@@ -1665,11 +1787,11 @@ mod tests {
             session.add_constraint(e, Cmp::Ge, rhs).unwrap();
         }
         let inc = session.resolve().unwrap().clone();
-        let cold = SimplexSolver::new().solve(&base).unwrap();
+        let cold = RevisedSolver::new().solve(&base).unwrap();
         assert_eq!(inc.status(), cold.status());
         assert!(
             (inc.objective() - cold.objective()).abs() < 1e-6,
-            "incremental {} vs dense cold {}",
+            "incremental {} vs cold {}",
             inc.objective(),
             cold.objective()
         );

@@ -9,8 +9,9 @@
 //! out of `n` edge columns, so the column store is typically two orders of
 //! magnitude smaller than the dense image.
 //!
-//! Keeping the column numbering identical to the dense form is what makes
-//! [`crate::WarmStart`] tokens transferable between the two backends.
+//! Keeping the column numbering identical to the dense form is what lets
+//! [`crate::WarmStart`] tokens and certificates name standard-form columns
+//! the same way as [`crate::standard::StandardForm`] does.
 
 use crate::model::{Cmp, Model};
 
@@ -29,7 +30,7 @@ pub(crate) struct SparseForm {
     /// Column-major sparse matrix; `cols[j]` is sorted by row index.
     pub cols: Vec<SparseCol>,
     /// Right-hand side (entries of *initial* rows are `>= 0`; appended
-    /// rows skip normalization, exactly like the dense session tableau).
+    /// rows skip normalization: their slacks enter the basis as-is).
     pub b: Vec<f64>,
     /// Costs over all columns (zero on slack columns).
     pub c: Vec<f64>,

@@ -34,6 +34,7 @@ pub(crate) struct StandardForm {
     pub row_negated: Vec<bool>,
     /// Column index of the slack/surplus of row `i` (`usize::MAX` for
     /// equality rows).
+    #[allow(dead_code)] // informative; exercised by tests
     pub slack_col: Vec<usize>,
 }
 
@@ -109,7 +110,7 @@ impl StandardForm {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     pub fn at(&self, r: usize, col: usize) -> f64 {
         self.a[r * self.n + col]
     }

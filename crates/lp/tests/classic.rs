@@ -1,7 +1,7 @@
 //! Classic LP test problems: textbook instances with known optima and
 //! known failure modes (cycling, exponential pivot paths, degeneracy).
 
-use lubt_lp::{Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, SimplexSolver, Status};
+use lubt_lp::{Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, RevisedSolver, Status};
 
 fn expr(terms: &[(lubt_lp::Var, f64)]) -> LinExpr {
     LinExpr::from_terms(terms.iter().copied())
@@ -33,7 +33,7 @@ fn beale_cycling_example_terminates_at_optimum() {
         0.0,
     );
     m.add_constraint(expr(&[(x6, 1.0)]), Cmp::Le, 1.0);
-    let s = SimplexSolver::new().solve(&m).unwrap();
+    let s = RevisedSolver::new().solve(&m).unwrap();
     assert_eq!(s.status(), Status::Optimal);
     assert!(
         (s.objective() + 0.05).abs() < 1e-9,
@@ -70,7 +70,7 @@ fn klee_minty(n: usize) -> (Model, f64) {
 fn klee_minty_cubes_solve_exactly() {
     for n in 2..=7 {
         let (m, opt) = klee_minty(n);
-        let s = SimplexSolver::new().solve(&m).unwrap();
+        let s = RevisedSolver::new().solve(&m).unwrap();
         assert_eq!(s.status(), Status::Optimal, "n={n}");
         let rel = (s.objective() - opt).abs() / opt.abs();
         assert!(rel < 1e-9, "n={n}: got {}, want {opt}", s.objective());
@@ -113,7 +113,7 @@ fn transportation_problem() {
         let e = LinExpr::from_terms(x.iter().map(|row| (row[j], 1.0)));
         m.add_constraint(e, Cmp::Eq, d);
     }
-    let s = SimplexSolver::new().solve(&m).unwrap();
+    let s = RevisedSolver::new().solve(&m).unwrap();
     assert_eq!(s.status(), Status::Optimal);
     assert!(
         (s.objective() - 150.0).abs() < 1e-7,
@@ -145,7 +145,7 @@ fn heavily_degenerate_lp() {
     }
     m.add_constraint(expr(&[(vars[n - 1], 1.0)]), Cmp::Le, 10.0);
     m.add_constraint(expr(&[(vars[0], 1.0)]), Cmp::Ge, 0.0);
-    let s = SimplexSolver::new().solve(&m).unwrap();
+    let s = RevisedSolver::new().solve(&m).unwrap();
     assert_eq!(s.status(), Status::Optimal);
     // Everything at the lower bound is optimal: objective 0.
     assert!(s.objective().abs() < 1e-9);
@@ -160,7 +160,7 @@ fn complementary_slackness() {
     let y = m.add_var(0.0, 2.0);
     m.add_constraint(expr(&[(x, 1.0), (y, 2.0)]), Cmp::Ge, 8.0); // active
     m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 2.0); // slack
-    let s = SimplexSolver::new().solve(&m).unwrap();
+    let s = RevisedSolver::new().solve(&m).unwrap();
     let duals = s.duals().unwrap();
     let slack1 = s.value(x) + 2.0 * s.value(y) - 8.0;
     let slack2 = s.value(x) + s.value(y) - 2.0;

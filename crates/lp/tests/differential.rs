@@ -1,32 +1,28 @@
-//! Differential testing of the dense tableau simplex against the sparse
-//! revised simplex: on random LPs spanning all three outcomes (optimal,
-//! infeasible, unbounded) the two backends must agree on status and — when
-//! optimal — on objective to 1e-9, both cold and across incremental
-//! session rounds. On a mismatch the failure message carries a
-//! first-diverging-pivot diagnostic built from the per-phase pivot
-//! counters of both backends.
+//! Differential testing of the sparse revised simplex against exact,
+//! independent referees: on random LPs spanning all three outcomes
+//! (optimal, infeasible, unbounded) every certified outcome must verify in
+//! exact rational arithmetic under [`lubt_audit::audit_solution`] —
+//! optimal solves through their dual certificates (primal and dual
+//! feasibility, complementary slackness, objective), infeasible ones
+//! through their Farkas rays. Unbounded claims are checked by an exactly
+//! verified feasible point plus a box-bounded twin whose certified optimum
+//! keeps falling as the box widens. The incremental session is held to
+//! the cold solve of the same grown model, round by round.
 //!
-//! The final property widens the wall to three backends: random
+//! The final property widens the wall to the exact DP oracle: random
 //! tree-structured systems (the LUBT shape — path-delay windows plus
 //! pairwise separation rows on a random rooted tree) are expressed both as
 //! an explicit LP [`Model`] and as a [`lubt_dp::DpInstance`], and the
-//! dense simplex, the revised simplex and the exact DP oracle must agree
-//! on status and objective.
-
-use std::sync::Arc;
+//! revised simplex and the DP oracle must agree on status and objective.
 
 use lubt_dp::{DpInstance, DpPair, DpSink, DpStatus};
-use lubt_lp::{
-    Cmp, LinExpr, LpSolve, Model, RevisedSession, RevisedSolver, SimplexSession, SimplexSolver,
-    Solution, Status, Var,
-};
-use lubt_obs::{Recorder, SolveTrace, TraceRecorder};
+use lubt_lp::{Cmp, LinExpr, Model, RevisedSession, RevisedSolver, Solution, Status, Var};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Integral coefficient grids keep the arithmetic of both backends
-/// essentially exact, so a 1e-9 objective comparison is meaningful and
-/// status flips at tolerance boundaries cannot occur.
+/// Integral coefficient grids keep the float arithmetic essentially exact,
+/// so a 1e-9 objective comparison is meaningful and status flips at
+/// tolerance boundaries cannot occur.
 #[derive(Debug, Clone)]
 struct RandRow {
     coefs: Vec<i8>,
@@ -94,92 +90,69 @@ fn build(n: usize, costs: &[i8], rows: &[RandRow]) -> (Model, Vec<Var>) {
     (m, vars)
 }
 
-/// Solves with both backends under tracing and, when they disagree,
-/// renders the counter evidence locating the first pivot at which the two
-/// runs can have diverged.
-fn solve_both(m: &Model) -> Result<(Solution, Solution), TestCaseError> {
-    let dense_rec = Arc::new(TraceRecorder::new());
-    let revised_rec = Arc::new(TraceRecorder::new());
-    let dense = SimplexSolver::new()
-        .with_recorder(dense_rec.clone() as Arc<dyn Recorder>)
-        .solve(m)
-        .map_err(|e| TestCaseError::Fail(format!("dense: {e}")))?;
-    let revised = RevisedSolver::new()
-        .with_recorder(revised_rec.clone() as Arc<dyn Recorder>)
-        .solve(m)
+/// Solves with the revised simplex and audits the outcome's certificate
+/// exactly; any finding fails the case with the rendered diagnostics.
+fn solve_audited(m: &Model) -> Result<Solution, TestCaseError> {
+    let (sol, cert) = RevisedSolver::new()
+        .solve_certified(m)
         .map_err(|e| TestCaseError::Fail(format!("revised: {e}")))?;
-    let agree = dense.status() == revised.status()
-        && (!dense.is_optimal()
-            || (dense.objective() - revised.objective()).abs()
-                <= 1e-9 * (1.0 + dense.objective().abs()));
-    if agree {
-        Ok((dense, revised))
+    let findings = lubt_audit::audit_solution(m, &sol, cert.as_ref());
+    if findings.is_empty() {
+        Ok(sol)
     } else {
-        Err(TestCaseError::Fail(divergence_diagnostic(
-            &dense,
-            &revised,
-            &dense_rec.snapshot(),
-            &revised_rec.snapshot(),
+        Err(TestCaseError::Fail(format!(
+            "{:?} outcome (obj {}, {} iter) failed the exact audit: {}",
+            sol.status(),
+            sol.objective(),
+            sol.iterations(),
+            findings
+                .iter()
+                .map(|d| d.message.clone())
+                .collect::<Vec<_>>()
+                .join("; ")
         )))
     }
 }
 
-/// Both pivot sequences are deterministic, so the first divergence is
-/// bounded by the point where the per-phase pivot counts stop matching;
-/// report that pivot index along with both backends' counter evidence.
-fn divergence_diagnostic(
-    dense: &Solution,
-    revised: &Solution,
-    dt: &SolveTrace,
-    rt: &SolveTrace,
-) -> String {
-    let phases = [
-        (
-            "primal",
-            dt.counter("simplex.pivots"),
-            rt.counter("lp.pivots"),
-        ),
-        (
-            "dual",
-            dt.counter("simplex.dual_pivots"),
-            rt.counter("lp.dual_pivots"),
-        ),
-    ];
-    let mut pivot_base = 0u64;
-    let mut first = None;
-    for (phase, d, r) in phases {
-        if d != r && first.is_none() {
-            first = Some(format!(
-                "first diverging pivot no later than {} (in the {phase} phase: \
-                 dense made {d} pivot(s), revised {r})",
-                pivot_base + d.min(r) + 1
-            ));
-        }
-        pivot_base += d.min(r);
+/// `m` with every variable's cost replaced by `cost(var)` and, when
+/// `bound` is set, every variable boxed at `x_j <= lb_j + bound`.
+fn twin(m: &Model, cost: impl Fn(Var) -> f64, bound: Option<f64>) -> Model {
+    let mut t = Model::new();
+    for v in m.vars() {
+        t.add_var(m.lower_bound(v), cost(v));
     }
-    let first = first.unwrap_or_else(|| {
-        format!(
-            "pivot counts agree ({} primal / {} dual): backends diverge in \
-             arithmetic, not in the pivot sequence",
-            dt.counter("simplex.pivots"),
-            dt.counter("simplex.dual_pivots"),
-        )
-    });
-    format!(
-        "backends disagree: dense {:?} obj {} ({} iter) vs revised {:?} obj {} ({} iter); {first}; \
-         dense degenerate={} bland={}, revised degenerate={} bland={} priced={}",
-        dense.status(),
-        dense.objective(),
-        dense.iterations(),
-        revised.status(),
-        revised.objective(),
-        revised.iterations(),
-        dt.counter("simplex.degenerate_pivots"),
-        dt.counter("simplex.bland_activations"),
-        rt.counter("lp.degenerate_pivots"),
-        rt.counter("lp.bland_activations"),
-        rt.counter("lp.priced_columns"),
-    )
+    for c in m.constraints() {
+        t.add_constraint(c.expr().clone(), c.cmp(), c.rhs());
+    }
+    if let Some(bound) = bound {
+        for v in m.vars() {
+            let hi = m.lower_bound(v) + bound;
+            t.add_constraint(LinExpr::from_terms([(v, 1.0)]), Cmp::Le, hi);
+        }
+    }
+    t
+}
+
+/// Backs an `Unbounded` claim with exact evidence: the zero-cost twin of
+/// `m` must be certified optimal (so `m` is feasible), and boxing every
+/// variable must give certified optima that strictly fall as the box
+/// doubles past every vertex of the small integral data.
+fn check_unbounded(m: &Model) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        solve_audited(&twin(m, |_| 0.0, None))?.status(),
+        Status::Optimal
+    );
+    let near = solve_audited(&twin(m, |v| m.cost(v), Some(1e3)))?;
+    let far = solve_audited(&twin(m, |v| m.cost(v), Some(2e3)))?;
+    prop_assert_eq!(near.status(), Status::Optimal);
+    prop_assert_eq!(far.status(), Status::Optimal);
+    prop_assert!(
+        far.objective() < near.objective() - 1e-3,
+        "boxed optima do not fall: {} at 1e3 vs {} at 2e3",
+        near.objective(),
+        far.objective()
+    );
+    Ok(())
 }
 
 /// A random rooted tree system in the LUBT shape: node 0 is the root,
@@ -360,26 +333,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random mixed-sense LPs with signed costs naturally span optimal,
-    /// infeasible and unbounded outcomes; the backends must agree on all
-    /// three.
+    /// infeasible and unbounded outcomes; each must be proven exactly.
     #[test]
-    fn dense_and_revised_agree_on_random_mixed_lps(
+    fn revised_outcomes_verify_exactly_on_random_mixed_lps(
         n in 1usize..6,
         costs in proptest::collection::vec(-3i8..4, 6),
         rows in proptest::collection::vec(rand_row(6), 0..8),
     ) {
         let (m, _) = build(n, &costs, &rows);
-        let (dense, revised) = solve_both(&m)?;
-        if dense.is_optimal() {
-            prop_assert!(m.check_feasible(revised.values(), 1e-6).is_ok());
+        let sol = solve_audited(&m)?;
+        match sol.status() {
+            Status::Optimal => prop_assert!(m.check_feasible(sol.values(), 1e-6).is_ok()),
+            Status::Infeasible => {}
+            Status::Unbounded => check_unbounded(&m)?,
         }
-        prop_assert_eq!(dense.status(), revised.status());
     }
 
-    /// Covering LPs (always optimal) pin the tight 1e-9 objective
-    /// agreement on the pure phase-1 + phase-2 path.
+    /// Covering LPs (always optimal) pin the pure phase-1 + phase-2 path
+    /// to an exactly verified optimum.
     #[test]
-    fn dense_and_revised_agree_on_covering_lps(
+    fn revised_optima_verify_exactly_on_covering_lps(
         n in 2usize..8,
         costs in proptest::collection::vec(1i8..4, 8),
         rows in proptest::collection::vec(rand_row(8), 1..8),
@@ -390,103 +363,104 @@ proptest! {
         }
         let (m, _) = build(n, &costs, &rows);
         prop_assume!(m.num_constraints() > 0);
-        let (dense, revised) = solve_both(&m)?;
-        prop_assert_eq!(dense.status(), Status::Optimal);
-        prop_assert_eq!(revised.status(), Status::Optimal);
+        prop_assert_eq!(solve_audited(&m)?.status(), Status::Optimal);
     }
 
-    /// The incremental sessions must stay in lock-step across separation
-    /// rounds: after every batch of appended rows, both report the same
-    /// status and (when optimal) objectives within 1e-9.
+    /// The incremental session must track cold solves across separation
+    /// rounds: after every batch of appended rows, the dual-repaired
+    /// outcome matches a cold two-phase solve of the grown model in
+    /// status and (when optimal) objective to 1e-9, and the session's own
+    /// certificate verifies exactly.
     #[test]
-    fn sessions_agree_across_incremental_rounds(
+    fn session_matches_cold_solves_across_incremental_rounds(
         n in 2usize..6,
         costs in proptest::collection::vec(1i8..4, 6),
         seed_rows in proptest::collection::vec(rand_row(6), 1..4),
         append_rounds in proptest::collection::vec(
             proptest::collection::vec(rand_row(6), 1..3), 1..4),
     ) {
-        // Covering-shaped base keeps the seed optimal so both sessions
-        // start growable; appended rows are unrestricted and may drive
-        // the model infeasible — in which case both must latch.
+        // Covering-shaped base keeps the seed optimal so the session
+        // starts growable; appended rows are unrestricted and may drive
+        // the model infeasible — in which case the session must latch.
         let mut base_rows = seed_rows;
         for row in &mut base_rows {
             row.make_covering();
         }
-        let (base, vars) = build(n, &costs, &base_rows);
-        prop_assume!(base.num_constraints() > 0);
-        let mut dense = SimplexSession::start_with(base.clone(), SimplexSolver::new())
-            .map_err(|e| TestCaseError::Fail(format!("dense start: {e}")))?;
-        let mut revised = RevisedSession::start_with(base, RevisedSolver::new())
-            .map_err(|e| TestCaseError::Fail(format!("revised start: {e}")))?;
+        let (mut grown, vars) = build(n, &costs, &base_rows);
+        prop_assume!(grown.num_constraints() > 0);
+        let mut session = RevisedSession::start_with(grown.clone(), RevisedSolver::new())
+            .map_err(|e| TestCaseError::Fail(format!("session start: {e}")))?;
         for (round, batch) in append_rounds.iter().enumerate() {
             for row in batch {
                 let e = row.expr(&vars);
                 if e.terms().is_empty() {
                     continue;
                 }
-                dense
-                    .add_constraint(e.clone(), row.cmp(), row.rhs())
-                    .map_err(|e| TestCaseError::Fail(format!("dense add: {e}")))?;
-                revised
+                grown.add_constraint(e.clone(), row.cmp(), row.rhs());
+                session
                     .add_constraint(e, row.cmp(), row.rhs())
-                    .map_err(|e| TestCaseError::Fail(format!("revised add: {e}")))?;
+                    .map_err(|e| TestCaseError::Fail(format!("session add: {e}")))?;
             }
-            let ds = dense
+            let warm = session
                 .resolve()
-                .map_err(|e| TestCaseError::Fail(format!("dense resolve: {e}")))?
+                .map_err(|e| TestCaseError::Fail(format!("session resolve: {e}")))?
                 .clone();
-            let rs = revised
-                .resolve()
-                .map_err(|e| TestCaseError::Fail(format!("revised resolve: {e}")))?
-                .clone();
-            prop_assert_eq!(
-                ds.status(),
-                rs.status(),
-                "round {}: dense {:?} vs revised {:?}",
+            let findings =
+                lubt_audit::audit_solution(session.model(), &warm, session.certificate().as_ref());
+            prop_assert!(
+                findings.is_empty(),
+                "round {}: session certificate rejected: {:?}",
                 round,
-                ds.status(),
-                rs.status()
+                findings
             );
-            if ds.status() == Status::Optimal {
+            let cold = solve_audited(&grown)?;
+            prop_assert_eq!(
+                warm.status(),
+                cold.status(),
+                "round {}: session {:?} vs cold {:?}",
+                round,
+                warm.status(),
+                cold.status()
+            );
+            if cold.status() == Status::Optimal {
                 prop_assert!(
-                    (ds.objective() - rs.objective()).abs()
-                        <= 1e-9 * (1.0 + ds.objective().abs()),
-                    "round {}: dense obj {} vs revised obj {}",
+                    (warm.objective() - cold.objective()).abs()
+                        <= 1e-9 * (1.0 + cold.objective().abs()),
+                    "round {}: session obj {} vs cold obj {}",
                     round,
-                    ds.objective(),
-                    rs.objective()
+                    warm.objective(),
+                    cold.objective()
                 );
             }
         }
     }
 
-    /// Tree-structured systems, three ways: the same windows + separation
-    /// rows solved by the dense simplex and the revised simplex as an
-    /// explicit LP, and by the exact DP oracle from the plain-data
-    /// instance. All three must agree on status, and on the objective to
-    /// 1e-9 when optimal; the DP's edge lengths must additionally be
-    /// feasible for the explicit model.
+    /// Tree-structured systems, two independent ways: the windows +
+    /// separation rows solved by the revised simplex as an explicit LP
+    /// (its certificate audited exactly), and by the exact DP oracle from
+    /// the plain-data instance. Both must agree on status, and on the
+    /// objective to 1e-9 when optimal; the DP's edge lengths must
+    /// additionally be feasible for the explicit model.
     #[test]
-    fn dense_revised_and_dp_agree_on_tree_systems(sys in tree_system()) {
+    fn revised_and_dp_agree_on_tree_systems(sys in tree_system()) {
         let m = sys.model();
-        let (dense, _revised) = solve_both(&m)?;
+        let revised = solve_audited(&m)?;
         let dp = lubt_dp::solve(&sys.dp_instance(), 1 << 20)
             .map_err(|e| TestCaseError::Fail(format!("dp: {e}")))?;
         match dp.status {
             DpStatus::Optimal => {
                 prop_assert_eq!(
-                    dense.status(),
+                    revised.status(),
                     Status::Optimal,
                     "LP says {:?}, exact DP says optimal (obj {})",
-                    dense.status(),
+                    revised.status(),
                     dp.objective
                 );
                 prop_assert!(
-                    (dense.objective() - dp.objective).abs()
-                        <= 1e-9 * (1.0 + dense.objective().abs()),
+                    (revised.objective() - dp.objective).abs()
+                        <= 1e-9 * (1.0 + revised.objective().abs()),
                     "LP obj {} vs exact DP obj {} on {:?}",
-                    dense.objective(),
+                    revised.objective(),
                     dp.objective,
                     sys
                 );
@@ -498,10 +472,10 @@ proptest! {
             }
             DpStatus::Infeasible => {
                 prop_assert_eq!(
-                    dense.status(),
+                    revised.status(),
                     Status::Infeasible,
                     "LP says {:?}, exact DP says infeasible",
-                    dense.status()
+                    revised.status()
                 );
             }
         }

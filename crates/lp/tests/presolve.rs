@@ -2,7 +2,7 @@
 //! can be proven hopeless without a single pivot, plus the boundaries of
 //! what the bit-exact reductions deliberately do *not* catch.
 
-use lubt_lp::{presolve, Cmp, LinExpr, LpSolve, Model, Presolved, SimplexSolver, Status, Var};
+use lubt_lp::{presolve, Cmp, LinExpr, LpSolve, Model, Presolved, RevisedSolver, Status, Var};
 
 fn expr(terms: &[(Var, f64)]) -> LinExpr {
     LinExpr::from_terms(terms.iter().copied())
@@ -95,7 +95,7 @@ fn scaled_contradictions_are_left_for_the_solver() {
         } => {
             assert_eq!(rows_removed, 0);
             assert_eq!(model.num_constraints(), 2);
-            let sol = SimplexSolver::new().solve(&model).unwrap();
+            let sol = RevisedSolver::new().solve(&model).unwrap();
             assert_eq!(sol.status(), Status::Infeasible);
         }
         Presolved::Infeasible => panic!("bit-exact dedup must not merge scaled rows"),
@@ -114,7 +114,7 @@ fn presolve_verdict_matches_the_simplex_on_the_original_model() {
     };
     let contradictory = build(3.0);
     assert_eq!(presolve(&contradictory), Presolved::Infeasible);
-    let sol = SimplexSolver::new().solve(&contradictory).unwrap();
+    let sol = RevisedSolver::new().solve(&contradictory).unwrap();
     assert_eq!(sol.status(), Status::Infeasible);
 
     let consistent = build(2.0);
@@ -125,6 +125,6 @@ fn presolve_verdict_matches_the_simplex_on_the_original_model() {
             ..
         }
     ));
-    let sol = SimplexSolver::new().solve(&consistent).unwrap();
+    let sol = RevisedSolver::new().solve(&consistent).unwrap();
     assert_eq!(sol.status(), Status::Optimal);
 }

@@ -4,7 +4,7 @@
 //!   compared against the simplex.
 //! * Random covering LPs check simplex/interior-point agreement.
 
-use lubt_lp::{Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, SimplexSolver, Status};
+use lubt_lp::{Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, RevisedSolver, Status};
 use proptest::prelude::*;
 
 /// One random inequality `a*x + b*y (<=|>=) r`.
@@ -93,7 +93,7 @@ proptest! {
         m.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Le, box_hi);
         m.add_constraint(LinExpr::from_terms([(y, 1.0)]), Cmp::Le, box_hi);
 
-        let sol = SimplexSolver::new().solve(&m).unwrap();
+        let sol = RevisedSolver::new().solve(&m).unwrap();
         match brute_force_2d(&cons, cx, cy, box_hi) {
             Some((obj, _, _)) => {
                 prop_assert_eq!(sol.status(), Status::Optimal);
@@ -132,7 +132,7 @@ proptest! {
         }
         prop_assume!(any_row);
 
-        let si = SimplexSolver::new().solve(&m).unwrap();
+        let si = RevisedSolver::new().solve(&m).unwrap();
         let ip = InteriorPointSolver::new().solve(&m).unwrap();
         prop_assert!(si.is_optimal() && ip.is_optimal());
         let scale = 1.0 + si.objective().abs();
@@ -167,7 +167,7 @@ proptest! {
             rhs_all.push(*rhs);
         }
         prop_assume!(!rhs_all.is_empty());
-        let s = SimplexSolver::new().solve(&m).unwrap();
+        let s = RevisedSolver::new().solve(&m).unwrap();
         prop_assert!(s.is_optimal());
         let duals = s.duals().expect("simplex computes duals");
         let dual_obj: f64 = duals.iter().zip(&rhs_all).map(|(y, b)| y * b).sum();

@@ -1,7 +1,7 @@
 //! Warm-started dual-simplex re-solves: correctness against cold solves on
 //! growing models (the lazy-separation pattern).
 
-use lubt_lp::{Cmp, LinExpr, LpSolve, Model, SimplexSolver, Status};
+use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSolver, Status};
 
 fn expr(terms: &[(lubt_lp::Var, f64)]) -> LinExpr {
     LinExpr::from_terms(terms.iter().copied())
@@ -18,7 +18,7 @@ fn warm_resolve_matches_cold_on_growing_model() {
         Cmp::Ge,
         10.0,
     );
-    let solver = SimplexSolver::new();
+    let solver = RevisedSolver::new();
     let (sol, mut warm) = solver.solve_warm(&m, None).unwrap();
     assert_eq!(sol.status(), Status::Optimal);
 
@@ -63,7 +63,7 @@ fn warm_detects_infeasibility_of_appended_row() {
     let mut m = Model::new();
     let x = m.add_var(0.0, 1.0);
     m.add_constraint(expr(&[(x, 1.0)]), Cmp::Le, 3.0);
-    let solver = SimplexSolver::new();
+    let solver = RevisedSolver::new();
     let (_, warm) = solver.solve_warm(&m, None).unwrap();
     // Contradicts the first row.
     m.add_constraint(expr(&[(x, 1.0)]), Cmp::Ge, 5.0);
@@ -76,7 +76,7 @@ fn mismatched_token_falls_back_to_cold() {
     let mut m1 = Model::new();
     let x = m1.add_var(0.0, 1.0);
     m1.add_constraint(expr(&[(x, 1.0)]), Cmp::Ge, 2.0);
-    let solver = SimplexSolver::new();
+    let solver = RevisedSolver::new();
     let (_, warm) = solver.solve_warm(&m1, None).unwrap();
 
     // Different variable count: token must be ignored, not misapplied.
@@ -95,7 +95,7 @@ fn appended_equality_rows_fall_back_cleanly() {
     let x = m.add_var(0.0, 1.0);
     let y = m.add_var(0.0, 1.0);
     m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 2.0);
-    let solver = SimplexSolver::new();
+    let solver = RevisedSolver::new();
     let (_, warm) = solver.solve_warm(&m, None).unwrap();
     m.add_constraint(expr(&[(x, 1.0), (y, -1.0)]), Cmp::Eq, 1.0);
     let (sol, _) = solver.solve_warm(&m, warm.as_ref()).unwrap();
@@ -114,7 +114,7 @@ fn unchanged_model_resolves_in_zero_pivots() {
         Cmp::Ge,
         8.0,
     );
-    let solver = SimplexSolver::new();
+    let solver = RevisedSolver::new();
     let (_, warm) = solver.solve_warm(&m, None).unwrap();
     let (sol, _) = solver.solve_warm(&m, warm.as_ref()).unwrap();
     assert_eq!(sol.iterations(), 0, "old optimum must be recognized");

@@ -42,13 +42,13 @@ pub fn is_determinism_exempt_key(key: &str) -> bool {
 /// let mut agg = AggregateTrace::new();
 /// for pivots in [10u64, 14, 12] {
 ///     let rec = TraceRecorder::new();
-///     rec.incr("simplex.pivots", pivots);
+///     rec.incr("lp.pivots", pivots);
 ///     agg.fold(&rec.snapshot());
 /// }
 /// assert_eq!(agg.solves, 3);
-/// assert_eq!(agg.counter("simplex.pivots"), 36);
-/// assert_eq!(agg.maximum("simplex.pivots"), 14);
-/// assert_eq!(agg.histogram("simplex.pivots").unwrap().count(), 3);
+/// assert_eq!(agg.counter("lp.pivots"), 36);
+/// assert_eq!(agg.maximum("lp.pivots"), 14);
+/// assert_eq!(agg.histogram("lp.pivots").unwrap().count(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AggregateTrace {
@@ -331,12 +331,12 @@ mod tests {
 
     fn trace(pivots: u64, steals: u64, lp_ns: u64) -> SolveTrace {
         let rec = TraceRecorder::new();
-        rec.incr("simplex.pivots", pivots);
+        rec.incr("lp.pivots", pivots);
         rec.incr("ebf.rounds", 2);
         rec.incr("par.steals", steals);
         rec.record_max("par.queue_high_water", steals + 1);
         rec.record_max("ebf.peak_violations", pivots / 2);
-        rec.gauge("simplex.limit_fraction", 0.25);
+        rec.gauge("lp.limit_fraction", 0.25);
         rec.add_time("time.lp", lp_ns);
         rec.event("ebf.round", "round 1");
         rec.snapshot()
@@ -347,7 +347,7 @@ mod tests {
         assert!(is_determinism_exempt_key("par.steals"));
         assert!(is_determinism_exempt_key("pool.queue_high_water"));
         assert!(is_determinism_exempt_key("time.lp"));
-        assert!(!is_determinism_exempt_key("simplex.pivots"));
+        assert!(!is_determinism_exempt_key("lp.pivots"));
         assert!(!is_determinism_exempt_key("partition.cuts"));
     }
 
@@ -357,9 +357,9 @@ mod tests {
         agg.fold(&trace(10, 3, 500));
         agg.fold(&trace(6, 0, 700));
         assert_eq!(agg.solves, 2);
-        assert_eq!(agg.counter("simplex.pivots"), 16);
-        assert_eq!(agg.maximum("simplex.pivots"), 10);
-        assert_eq!(agg.histogram("simplex.pivots").unwrap().count(), 2);
+        assert_eq!(agg.counter("lp.pivots"), 16);
+        assert_eq!(agg.maximum("lp.pivots"), 10);
+        assert_eq!(agg.histogram("lp.pivots").unwrap().count(), 2);
         // Scheduling keys never leak into the deterministic section.
         assert_eq!(agg.counter("par.steals"), 0);
         assert_eq!(agg.sched_counters["par.steals"], 3);
@@ -415,9 +415,9 @@ mod tests {
         let mut agg = AggregateTrace::new();
         agg.fold(&trace(10, 3, 500));
         let text = agg.to_prometheus();
-        assert!(text.contains("# TYPE lubt_simplex_pivots_total counter"));
-        assert!(text.contains("lubt_simplex_pivots_total 10"));
-        assert!(text.contains("# TYPE lubt_simplex_pivots_per_solve histogram"));
+        assert!(text.contains("# TYPE lubt_lp_pivots_total counter"));
+        assert!(text.contains("lubt_lp_pivots_total 10"));
+        assert!(text.contains("# TYPE lubt_lp_pivots_per_solve histogram"));
         assert!(text.contains("lubt_par_steals_total 3"));
         assert!(text.contains("# TYPE lubt_time_lp_seconds_total counter"));
         assert!(text.contains("lubt_aggregate_solves_total 1"));

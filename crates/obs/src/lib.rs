@@ -39,10 +39,10 @@
 //! ```
 //! use lubt_obs::{Recorder, TraceRecorder};
 //! let rec = TraceRecorder::new();
-//! rec.incr("simplex.pivots", 42);
-//! rec.record_max("simplex.peak_pivots", 42);
+//! rec.incr("lp.pivots", 42);
+//! rec.record_max("lp.peak_pivots", 42);
 //! let trace = rec.snapshot();
-//! assert_eq!(trace.counter("simplex.pivots"), 42);
+//! assert_eq!(trace.counter("lp.pivots"), 42);
 //! lubt_obs::json::validate(&trace.to_json()).unwrap();
 //! ```
 

@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn names_are_sanitized() {
-        assert_eq!(metric_name("simplex.pivots"), "lubt_simplex_pivots");
+        assert_eq!(metric_name("lp.pivots"), "lubt_lp_pivots");
         assert_eq!(metric_name("par.worker3.steals"), "lubt_par_worker3_steals");
         assert_eq!(metric_name("weird key/x"), "lubt_weird_key_x");
         assert_eq!(metric_name("9lives"), "lubt__9lives");

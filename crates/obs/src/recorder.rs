@@ -12,7 +12,7 @@ use crate::trace::{SolveTrace, TraceEvent};
 ///
 /// Implementations must be cheap and thread-safe: the simplex inner loop,
 /// the separation oracle, and every pool worker call into the same
-/// recorder concurrently. Keys are dotted paths (`"simplex.pivots"`,
+/// recorder concurrently. Keys are dotted paths (`"lp.pivots"`,
 /// `"ebf.rounds"`, `"par.worker3.steals"`); the instrumented code owns the
 /// namespace, the recorder just accumulates.
 ///

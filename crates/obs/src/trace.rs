@@ -24,11 +24,11 @@ pub struct TraceEvent {
 /// clearly-flagged section so the determinism contract stays auditable.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveTrace {
-    /// Monotonic counters (`"simplex.pivots"` → total pivots).
+    /// Monotonic counters (`"lp.pivots"` → total pivots).
     pub counters: BTreeMap<String, u64>,
     /// Running maxima (`"pool.queue_high_water"`).
     pub maxima: BTreeMap<String, u64>,
-    /// Last-write-wins gauges (`"simplex.limit_fraction"`).
+    /// Last-write-wins gauges (`"lp.limit_fraction"`).
     pub gauges: BTreeMap<String, f64>,
     /// Per-phase wall-clock nanoseconds — determinism-exempt.
     pub timings_ns: BTreeMap<String, u64>,
@@ -254,10 +254,10 @@ mod tests {
 
     fn sample() -> SolveTrace {
         let rec = TraceRecorder::new();
-        rec.incr("simplex.pivots", 120);
+        rec.incr("lp.pivots", 120);
         rec.incr("ebf.rounds", 3);
         rec.record_max("pool.queue_high_water", 9);
-        rec.gauge("simplex.limit_fraction", 0.0006);
+        rec.gauge("lp.limit_fraction", 0.0006);
         rec.gauge("ebf.residual_violation", f64::NAN);
         rec.add_time("time.lp", 1_234_567);
         rec.event("ebf.round", "round 1: 17 cuts, residual 3.5e-2");
@@ -292,8 +292,8 @@ mod tests {
     #[test]
     fn prometheus_rendering_covers_every_kind() {
         let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE lubt_simplex_pivots_total counter"));
-        assert!(text.contains("lubt_simplex_pivots_total 120"));
+        assert!(text.contains("# TYPE lubt_lp_pivots_total counter"));
+        assert!(text.contains("lubt_lp_pivots_total 120"));
         assert!(text.contains("# TYPE lubt_pool_queue_high_water_max gauge"));
         assert!(text.contains("lubt_time_lp_seconds_total 0.001234567"));
         // Non-finite gauges use the exposition tokens, never bare JSON-isms.
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn accessors_default_to_zero() {
         let t = sample();
-        assert_eq!(t.counter("simplex.pivots"), 120);
+        assert_eq!(t.counter("lp.pivots"), 120);
         assert_eq!(t.maximum("pool.queue_high_water"), 9);
         assert_eq!(t.timing_ns("time.lp"), 1_234_567);
         assert_eq!(t.counter("nope"), 0);

@@ -1,14 +1,8 @@
-//! Dependency-free work-stealing parallelism for the LUBT workspace.
+//! Dependency-free deterministic parallelism for the LUBT workspace.
 //!
-//! Three layers, all built on `std` threads, `Mutex`/`Condvar` and atomics
+//! Two layers, both built on `std` scoped threads, `Mutex` and atomics
 //! only (the build environment is offline — no rayon, no crossbeam):
 //!
-//! * [`Pool`] — a persistent work-stealing thread pool for `'static` jobs.
-//!   Each worker owns a deque; owners pop LIFO from the back, idle workers
-//!   steal FIFO from the front of a victim's deque, and sleepers park on a
-//!   condvar. Used for fire-and-forget jobs and the spawn/join stress
-//!   tests. [`Pool::assist_loop`] / [`Pool::assist_reduce`] lend the
-//!   pool's idle capacity to a borrowed intra-solve loop.
 //! * [`parallel_map`] / [`parallel_flat_map`] — scoped, *deterministic*
 //!   data-parallel iteration over an index range, in the style of the
 //!   workassisting chunked self-scheduling loop. The range is split into
@@ -43,11 +37,9 @@
 
 mod assist;
 mod chunks;
-mod pool;
 
 pub use assist::{assist_flat_map, assist_flat_map_traced, assist_reduce, assist_reduce_traced};
 pub use chunks::{parallel_flat_map, parallel_flat_map_traced, parallel_map, parallel_map_traced};
-pub use pool::Pool;
 
 /// Number of hardware threads available to this process (at least 1).
 pub fn available_parallelism() -> usize {

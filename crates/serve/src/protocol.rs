@@ -309,13 +309,12 @@ pub fn parse_request(doc: &Value) -> Result<Request, ProtocolError> {
             }
             "backend" => {
                 backend = match value.as_str() {
-                    Some("simplex") => SolverBackend::Simplex,
-                    Some("ipm") => SolverBackend::InteriorPoint,
                     Some("revised") => SolverBackend::Revised,
+                    Some("ipm") => SolverBackend::InteriorPoint,
                     Some("dp") => SolverBackend::Dp,
                     Some(other) => {
                         return Err(ProtocolError::bad(format!(
-                            "unknown backend {other:?} (simplex|ipm|revised|dp)"
+                            "unknown backend {other:?} (revised|ipm|dp)"
                         )))
                     }
                     None => return Err(ProtocolError::bad("backend must be a string")),
@@ -486,14 +485,14 @@ mod tests {
     fn parses_a_full_solve_request() {
         let r = req(r#"{"op":"solve","id":"r1","priority":7,"deadline_ms":250,
                 "instance":{"name":"n","source":[5,5],"sinks":[[0,0],[10,0]]},
-                "lower":0.5,"upper":1.2,"backend":"simplex"}"#)
+                "lower":0.5,"upper":1.2,"backend":"ipm"}"#)
         .unwrap();
         assert_eq!(r.op, Op::Solve);
         assert_eq!(r.id, "r1");
         assert_eq!(r.priority, 7);
         assert_eq!(r.deadline_ms, Some(250));
         assert_eq!(r.instances.len(), 1);
-        assert_eq!(r.backend, SolverBackend::Simplex);
+        assert_eq!(r.backend, SolverBackend::InteriorPoint);
         let (lo, up) = r.window_for(&r.instances[0]);
         let radius = r.instances[0].radius();
         assert!((lo - 0.5 * radius).abs() < 1e-12);
@@ -553,6 +552,10 @@ mod tests {
                 r#"{"op":"solve","upper":1.0,"backend":"gpu","instance":{"sinks":[[0,0]]}}"#,
                 "unknown backend",
             ),
+            (
+                r#"{"op":"solve","upper":1.0,"backend":"simplex","instance":{"sinks":[[0,0]]}}"#,
+                "unknown backend \"simplex\" (revised|ipm|dp)",
+            ),
         ];
         for (text, needle) in cases {
             let err = req(text).expect_err(text);
@@ -582,7 +585,7 @@ mod tests {
         assert_eq!(a.cache_key(inst), b.cache_key(inst));
         // A different backend or window must split.
         let c = Request {
-            backend: SolverBackend::Simplex,
+            backend: SolverBackend::Dp,
             ..a.clone()
         };
         assert_ne!(a.cache_key(inst), c.cache_key(inst));

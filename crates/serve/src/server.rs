@@ -507,7 +507,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn backend_name(backend: SolverBackend) -> &'static str {
     match backend {
-        SolverBackend::Simplex => "simplex",
         SolverBackend::InteriorPoint => "ipm",
         SolverBackend::Revised => "revised",
         SolverBackend::Dp => "dp",

@@ -77,6 +77,10 @@ fn malformed_frames_get_bad_request_and_the_connection_survives() {
         (r#"{"op":"ping","bogus":1}"#, "unknown field"),
         (r#"[1,2,3]"#, "must be a JSON object"),
         (r#"{"op":"solve","id":"e1","upper":1.0}"#, "instance"),
+        (
+            r#"{"op":"solve","id":"e2","upper":1.0,"backend":"simplex","instance":{"sinks":[[0,0],[4,0]]}}"#,
+            "unknown backend \"simplex\" (revised|ipm|dp)",
+        ),
     ];
     for (line, needle) in cases {
         let resp = c.roundtrip(line);
@@ -228,11 +232,12 @@ fn run_fleet(workers: usize, requests: &[String]) -> BTreeMap<String, String> {
 fn one_and_eight_workers_answer_byte_identically() {
     // 12 concurrent requests over 4 distinct instances: duplicates
     // exercise the cache and the warm pool under contention, different
-    // backends exercise both LP paths.
+    // backends exercise the warm-session (revised) and cold (ipm) LP
+    // paths.
     let mut requests = Vec::new();
     for k in 0..12 {
         let inst = grid_instance(&format!("net{}", k % 4), 8);
-        let backend = if k % 2 == 0 { "revised" } else { "simplex" };
+        let backend = if k % 2 == 0 { "revised" } else { "ipm" };
         requests.push(format!(
             r#"{{"op":"solve","id":"r{k}","upper":1.5,"backend":"{backend}","instance":{inst}}}"#
         ));
@@ -417,7 +422,7 @@ fn span_tree_shape_is_identical_across_worker_counts() {
     // of the request multiset (DESIGN.md §16).
     let requests: Vec<String> = (0..6)
         .map(|k| {
-            let backend = if k % 2 == 0 { "revised" } else { "simplex" };
+            let backend = if k % 2 == 0 { "revised" } else { "ipm" };
             format!(
                 r#"{{"op":"solve","id":"s{k}","upper":1.5,"backend":"{backend}","instance":{}}}"#,
                 grid_instance(&format!("shape{k}"), 8)

@@ -1,17 +1,21 @@
 //! Exact certificate auditing, end to end — the acceptance gate of the
 //! audit layer.
 //!
-//! Every pinned bench-suite instance must pass the exact rational
-//! certificate audit on **both** LP backends: optimality certificates on
-//! feasible windows, Farkas rays on infeasible ones. And the audit must
+//! Every pinned bench-suite instance must pass the exact audit on **both**
+//! exact-auditable backends: the revised simplex's optimality certificates
+//! and the DP oracle's lengths against the eager LP on feasible windows,
+//! and the revised simplex's Farkas rays — from the warm session and the
+//! cold solve alike — on infeasible ones. And the audit must
 //! have teeth: a deliberately corrupted solution, claimed objective,
 //! dual certificate or Farkas ray is rejected with a deny-level
 //! `audit-*` diagnostic.
 
 use lubt::audit::{audit_farkas, audit_optimality, PASS_FARKAS, PASS_OBJECTIVE};
-use lubt::core::{BatchSolver, DelayBounds, EbfSolver, LubtError, LubtProblem, SolverBackend};
+use lubt::core::{
+    BatchSolver, DelayBounds, EbfSolver, LubtError, LubtProblem, SolverBackend, SteinerMode,
+};
 use lubt::lint::Level;
-use lubt::lp::{Certificate, Cmp, LinExpr, Model, RevisedSolver, SimplexSolver, Status};
+use lubt::lp::{Certificate, Cmp, LinExpr, Model, RevisedSolver, Status};
 use lubt::topology::{nearest_neighbor_topology, SourceMode};
 use lubt_bench::suite::pinned_instances;
 
@@ -41,7 +45,10 @@ fn suite_problems(lower_frac: f64, upper_frac: f64) -> Vec<(String, LubtProblem)
 fn every_pinned_instance_passes_exact_audit_on_both_backends() {
     let named = suite_problems(0.9, 1.4);
     let problems: Vec<LubtProblem> = named.iter().map(|(_, p)| p.clone()).collect();
-    for backend in [SolverBackend::Simplex, SolverBackend::Revised] {
+    for (backend, verified_key) in [
+        (SolverBackend::Revised, "audit.optimality_verified"),
+        (SolverBackend::Dp, "audit.primal_verified"),
+    ] {
         let batch = BatchSolver::new()
             .with_threads(1)
             .with_solver(EbfSolver::new().with_backend(backend).with_audit(true));
@@ -55,12 +62,12 @@ fn every_pinned_instance_passes_exact_audit_on_both_backends() {
                 "{name}/{backend:?}: exact tree audit rejected the embedding"
             );
         }
-        // The LP-side audits actually ran: at least one exactly verified
-        // optimality certificate per instance, zero failures.
+        // The LP-side audits actually ran: at least one exact verification
+        // per instance, zero failures.
         assert!(
-            trace.counter("audit.optimality_verified") >= problems.len() as u64,
-            "{backend:?}: only {} certificates verified for {} instances",
-            trace.counter("audit.optimality_verified"),
+            trace.counter(verified_key) >= problems.len() as u64,
+            "{backend:?}: only {} {verified_key} for {} instances",
+            trace.counter(verified_key),
             problems.len()
         );
         assert_eq!(trace.counter("audit.failures"), 0, "{backend:?}");
@@ -68,16 +75,17 @@ fn every_pinned_instance_passes_exact_audit_on_both_backends() {
 }
 
 #[test]
-fn infeasible_fixtures_verify_farkas_rays_on_both_backends() {
+fn infeasible_fixtures_verify_farkas_rays_warm_and_cold() {
     // u = 0.5R violates Equation 3 on every pinned instance; with prelint
     // bypassed the LP itself must refuse, and every refusal must carry an
-    // exactly verifying Farkas ray.
+    // exactly verifying Farkas ray — from the warm-started lazy session
+    // and from the cold eager solve alike.
     let named = suite_problems(0.0, 0.5);
     let problems: Vec<LubtProblem> = named.iter().map(|(_, p)| p.clone()).collect();
-    for backend in [SolverBackend::Simplex, SolverBackend::Revised] {
+    for mode in [SteinerMode::default_lazy(), SteinerMode::Eager] {
         let batch = BatchSolver::new().with_threads(1).with_solver(
             EbfSolver::new()
-                .with_backend(backend)
+                .with_steiner_mode(mode)
                 .with_prelint(false)
                 .with_audit(true),
         );
@@ -85,24 +93,16 @@ fn infeasible_fixtures_verify_farkas_rays_on_both_backends() {
         for ((name, _), result) in named.iter().zip(&results) {
             assert!(
                 matches!(result, Err(LubtError::Infeasible)),
-                "{name}/{backend:?}: expected verified infeasibility, got {result:?}"
+                "{name}/{mode:?}: expected verified infeasibility, got {result:?}"
             );
         }
         assert!(
             trace.counter("audit.farkas_verified") >= problems.len() as u64,
-            "{backend:?}: only {} Farkas rays verified for {} instances",
+            "{mode:?}: only {} Farkas rays verified for {} instances",
             trace.counter("audit.farkas_verified"),
             problems.len()
         );
-        assert_eq!(trace.counter("audit.failures"), 0, "{backend:?}");
-    }
-}
-
-fn certified(backend: &str, model: &Model) -> (lubt::lp::Solution, Option<Certificate>) {
-    if backend == "simplex" {
-        SimplexSolver::new().solve_certified(model).unwrap()
-    } else {
-        RevisedSolver::new().solve_certified(model).unwrap()
+        assert_eq!(trace.counter("audit.failures"), 0, "{mode:?}");
     }
 }
 
@@ -122,43 +122,38 @@ fn corrupted_solutions_and_certificates_are_rejected_with_deny_findings() {
     model.add_constraint(LinExpr::from_terms([(x, 1.0), (y, 1.0)]), Cmp::Ge, 4.0);
     model.add_constraint(LinExpr::from_terms([(x, 2.0), (y, 1.0)]), Cmp::Le, 10.0);
 
-    for backend in ["simplex", "revised"] {
-        let (sol, cert) = certified(backend, &model);
-        assert_eq!(sol.status(), Status::Optimal, "{backend}");
-        let Some(Certificate::Optimality(opt)) = cert else {
-            panic!("{backend}: optimal solve must carry an optimality certificate");
-        };
-        // The genuine output verifies exactly.
-        assert!(
-            audit_optimality(&model, sol.values(), sol.objective(), &opt).is_empty(),
-            "{backend}: genuine certificate must verify"
-        );
+    let (sol, cert) = RevisedSolver::new().solve_certified(&model).unwrap();
+    assert_eq!(sol.status(), Status::Optimal);
+    let Some(Certificate::Optimality(opt)) = cert else {
+        panic!("optimal solve must carry an optimality certificate");
+    };
+    // The genuine output verifies exactly.
+    assert!(
+        audit_optimality(&model, sol.values(), sol.objective(), &opt).is_empty(),
+        "genuine certificate must verify"
+    );
 
-        // A corrupted primal point is caught.
-        let mut vals = sol.values().to_vec();
-        vals[0] -= 5.0;
-        assert_deny_audit_findings(
-            &audit_optimality(&model, &vals, sol.objective(), &opt),
-            &format!("{backend}: corrupted primal"),
-        );
+    // A corrupted primal point is caught.
+    let mut vals = sol.values().to_vec();
+    vals[0] -= 5.0;
+    assert_deny_audit_findings(
+        &audit_optimality(&model, &vals, sol.objective(), &opt),
+        "corrupted primal",
+    );
 
-        // A falsely improved objective claim is caught by the exact
-        // objective cross-check.
-        let lies = audit_optimality(&model, sol.values(), sol.objective() - 1.0, &opt);
-        assert_deny_audit_findings(&lies, &format!("{backend}: corrupted objective"));
-        assert!(
-            lies.iter().any(|f| f.pass == PASS_OBJECTIVE),
-            "{backend}: {lies:?}"
-        );
+    // A falsely improved objective claim is caught by the exact
+    // objective cross-check.
+    let lies = audit_optimality(&model, sol.values(), sol.objective() - 1.0, &opt);
+    assert_deny_audit_findings(&lies, "corrupted objective");
+    assert!(lies.iter().any(|f| f.pass == PASS_OBJECTIVE), "{lies:?}");
 
-        // A tampered dual certificate no longer proves optimality.
-        let mut bad = opt.clone();
-        bad.duals[0] += 0.5;
-        assert_deny_audit_findings(
-            &audit_optimality(&model, sol.values(), sol.objective(), &bad),
-            &format!("{backend}: corrupted duals"),
-        );
-    }
+    // A tampered dual certificate no longer proves optimality.
+    let mut bad = opt.clone();
+    bad.duals[0] += 0.5;
+    assert_deny_audit_findings(
+        &audit_optimality(&model, sol.values(), sol.objective(), &bad),
+        "corrupted duals",
+    );
 }
 
 #[test]
@@ -168,26 +163,24 @@ fn corrupted_farkas_rays_are_rejected_with_deny_findings() {
     model.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Le, 1.0);
     model.add_constraint(LinExpr::from_terms([(x, 1.0)]), Cmp::Ge, 3.0);
 
-    for backend in ["simplex", "revised"] {
-        let (sol, cert) = certified(backend, &model);
-        assert_eq!(sol.status(), Status::Infeasible, "{backend}");
-        let Some(Certificate::Farkas(farkas)) = cert else {
-            panic!("{backend}: infeasible solve must carry a Farkas certificate");
-        };
-        assert!(
-            audit_farkas(&model, &farkas.ray).is_empty(),
-            "{backend}: genuine ray must verify"
-        );
+    let (sol, cert) = RevisedSolver::new().solve_certified(&model).unwrap();
+    assert_eq!(sol.status(), Status::Infeasible);
+    let Some(Certificate::Farkas(farkas)) = cert else {
+        panic!("infeasible solve must carry a Farkas certificate");
+    };
+    assert!(
+        audit_farkas(&model, &farkas.ray).is_empty(),
+        "genuine ray must verify"
+    );
 
-        // A positive multiplier on a `<=` row can never be part of a valid
-        // ray; the exact sign check must refuse it.
-        let mut bad = farkas.ray.clone();
-        bad[0] = 1.0;
-        let findings = audit_farkas(&model, &bad);
-        assert_deny_audit_findings(&findings, &format!("{backend}: corrupted ray"));
-        assert!(
-            findings.iter().any(|f| f.pass == PASS_FARKAS),
-            "{backend}: {findings:?}"
-        );
-    }
+    // A positive multiplier on a `<=` row can never be part of a valid
+    // ray; the exact sign check must refuse it.
+    let mut bad = farkas.ray.clone();
+    bad[0] = 1.0;
+    let findings = audit_farkas(&model, &bad);
+    assert_deny_audit_findings(&findings, "corrupted ray");
+    assert!(
+        findings.iter().any(|f| f.pass == PASS_FARKAS),
+        "{findings:?}"
+    );
 }

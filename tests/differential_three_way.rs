@@ -1,13 +1,17 @@
-//! Three-way differential wall: the dense simplex, the revised simplex and
-//! the LP-free exact DP oracle must agree on status and objective across
-//! generated LUBT instances. A disagreement between any pair is a hard
-//! failure that is first *shrunk* (sinks removed while the divergence
-//! persists) and then printed as replayable JSON, so a red run carries a
-//! minimal counterexample instead of a 6-sink blob.
+//! Three-way differential wall between independent parties: the revised
+//! simplex, the LP-free exact DP oracle, and the exact rational certificate
+//! audit. The two solvers must agree on status and objective across
+//! generated LUBT instances, and every revised outcome must carry a
+//! certificate that `lubt-audit` verifies exactly (an optimality
+//! certificate or a Farkas ray); the DP's lengths are audited against the
+//! eager LP. A disagreement or a rejected certificate is a hard failure
+//! that is first *shrunk* (sinks removed while the divergence persists)
+//! and then printed as replayable JSON, so a red run carries a minimal
+//! counterexample instead of a 6-sink blob.
 //!
-//! Instances live on an integer lattice with quarter-unit windows, so all
-//! three solvers work on exactly representable data and the 1e-9 objective
-//! comparison is meaningful. The float backends run in eager Steiner mode
+//! Instances live on an integer lattice with quarter-unit windows, so both
+//! solvers work on exactly representable data and the 1e-9 objective
+//! comparison is meaningful. The revised simplex runs in eager Steiner mode
 //! — the same all-`C(m, 2)` row set the DP models — making the comparison
 //! exact-model against exact-model rather than "lazy loop with a 1e-6
 //! separation tolerance" against an exact oracle.
@@ -122,11 +126,13 @@ enum Outcome {
     Infeasible,
 }
 
-/// Runs one backend on the instance's problem. Eager Steiner rows, prelint
-/// off: infeasibility must come from the solver itself, not the linter.
+/// Runs one backend on the instance's problem with the exact audit on.
+/// Eager Steiner rows, prelint off: infeasibility must come from the solver
+/// itself, not the linter.
 fn run_backend(p: &LubtProblem, backend: SolverBackend) -> Result<Outcome, String> {
     let solver = EbfSolver::new()
         .with_backend(backend)
+        .with_audit(true)
         .with_steiner_mode(SteinerMode::Eager)
         .with_prelint(false);
     match solver.solve(p) {
@@ -136,18 +142,14 @@ fn run_backend(p: &LubtProblem, backend: SolverBackend) -> Result<Outcome, Strin
     }
 }
 
-/// The three-way comparator. `dp_fault` is added to the DP's optimal
+/// The wall's comparator. `dp_fault` is added to the DP's optimal
 /// objective — zero in production use; nonzero only by the seeded
 /// fault-injection test, which proves the wall actually trips. Returns a
-/// human-readable description of the first diverging backend pair, or
-/// `None` when all three agree.
+/// human-readable description of the first failed audit or diverging
+/// backend pair, or `None` when everything agrees.
 fn divergence(inst: &TriInstance, dp_fault: f64) -> Option<String> {
     let p = inst.problem().ok()?;
-    let backends = [
-        SolverBackend::Simplex,
-        SolverBackend::Revised,
-        SolverBackend::Dp,
-    ];
+    let backends = [SolverBackend::Revised, SolverBackend::Dp];
     let mut outcomes = Vec::new();
     for b in backends {
         match run_backend(&p, b) {
@@ -158,8 +160,8 @@ fn divergence(inst: &TriInstance, dp_fault: f64) -> Option<String> {
             Err(e) => return Some(e),
         }
     }
-    for i in 0..3 {
-        for j in i + 1..3 {
+    for i in 0..backends.len() {
+        for j in i + 1..backends.len() {
             let diverged = match (outcomes[i], outcomes[j]) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => {
                     (a - b).abs() > 1e-9 * (1.0 + a.abs())
@@ -179,7 +181,7 @@ fn divergence(inst: &TriInstance, dp_fault: f64) -> Option<String> {
 
 /// Greedy shrinker: keep removing single sinks while the divergence
 /// persists. The result is locally minimal — removing any one more sink
-/// makes the three backends agree (or the instance degenerate).
+/// makes the backends agree (or the instance degenerate).
 fn shrink(inst: &TriInstance, dp_fault: f64) -> TriInstance {
     let mut cur = inst.clone();
     'outer: while cur.sinks.len() > 2 {
@@ -202,7 +204,7 @@ fn report_divergence(inst: &TriInstance, dp_fault: f64) -> String {
     let min = shrink(inst, dp_fault);
     let what = divergence(&min, dp_fault).expect("shrinking preserves the divergence");
     format!(
-        "three-way divergence ({} sink(s), shrunk from {}): {what}\nreplay JSON: {}",
+        "differential divergence ({} sink(s), shrunk from {}): {what}\nreplay JSON: {}",
         min.sinks.len(),
         inst.sinks.len(),
         min.to_json()
@@ -236,17 +238,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Generated corpus: lattice instances spanning feasible and
-    /// infeasible windows, with and without a source. All three backends
-    /// must agree on every one.
+    /// infeasible windows, with and without a source. Revised and DP must
+    /// agree on every one, with every certificate verifying exactly.
     #[test]
-    fn three_backends_agree_on_generated_instances(inst in tri_instance()) {
+    fn revised_and_dp_agree_on_generated_instances(inst in tri_instance()) {
         check_agreement(&inst)?;
     }
 }
 
 /// The pinned synthetic benchmarks pass the same wall at small scale.
 #[test]
-fn three_backends_agree_on_pinned_benchmarks() {
+fn revised_and_dp_agree_on_pinned_benchmarks() {
     for inst in lubt::data::synthetic::paper_benchmarks() {
         let inst = inst.subsample(8);
         let radius = inst.radius();
@@ -259,17 +261,15 @@ fn three_backends_agree_on_pinned_benchmarks() {
             ))
             .build()
             .unwrap();
-        let reference = run_backend(&problem, SolverBackend::Simplex).unwrap();
-        for backend in [SolverBackend::Revised, SolverBackend::Dp] {
-            let got = run_backend(&problem, backend).unwrap();
-            match (reference, got) {
-                (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
-                    (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                    "{}: simplex {a} vs {backend:?} {b}",
-                    inst.name
-                ),
-                (a, b) => assert_eq!(a, b, "{}: {backend:?}", inst.name),
-            }
+        let revised = run_backend(&problem, SolverBackend::Revised).unwrap();
+        let dp = run_backend(&problem, SolverBackend::Dp).unwrap();
+        match (revised, dp) {
+            (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
+                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
+                "{}: revised {a} vs dp {b}",
+                inst.name
+            ),
+            (a, b) => assert_eq!(a, b, "{}", inst.name),
         }
     }
 }

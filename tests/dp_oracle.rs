@@ -194,8 +194,8 @@ fn corrupted_dp_solutions_are_rejected_by_the_exact_primal_audit() {
 }
 
 /// The in-solver audit has teeth end to end: auditing on cannot change
-/// the DP's answer, and the audited DP run matches the audited simplex
-/// run bit for bit on the final lengths' cost.
+/// the DP's answer, and the audited DP run matches the audited (revised)
+/// simplex run on the final lengths' cost to 1e-9.
 #[test]
 fn audited_dp_solves_match_unaudited_and_simplex() {
     let problem = LubtBuilder::new(vec![
@@ -219,11 +219,11 @@ fn audited_dp_solves_match_unaudited_and_simplex() {
     let plain = solve(SolverBackend::Dp, false);
     let audited = solve(SolverBackend::Dp, true);
     assert_eq!(plain, audited, "auditing changed the DP answer");
-    let simplex = solve(SolverBackend::Simplex, true);
+    let simplex = solve(SolverBackend::Revised, true);
     let cost = |l: &[f64]| l.iter().sum::<f64>();
     assert!(
         (cost(&audited) - cost(&simplex)).abs() <= 1e-9 * (1.0 + cost(&simplex)),
-        "dp {} vs simplex {}",
+        "dp {} vs revised simplex {}",
         cost(&audited),
         cost(&simplex)
     );

@@ -160,7 +160,7 @@ fn all_benchmarks_solve_and_verify() {
 
 /// The exact DP backend drives the full pipeline on every synthetic
 /// benchmark at small scale: it solves, verifies, routes its cost, and
-/// lands on the simplex backend's optimum.
+/// lands on the revised simplex backend's optimum.
 #[test]
 fn dp_backend_matches_the_pipeline_on_all_benchmarks() {
     use lubt::core::SolverBackend;
@@ -188,10 +188,10 @@ fn dp_backend_matches_the_pipeline_on_all_benchmarks() {
             dp.routed_wirelength(),
             dp.cost()
         );
-        let lp = builder(SolverBackend::Simplex);
+        let lp = builder(SolverBackend::Revised);
         assert!(
             (dp.cost() - lp.cost()).abs() < 1e-6 * (1.0 + lp.cost()),
-            "{}: dp cost {} vs simplex cost {}",
+            "{}: dp cost {} vs revised cost {}",
             inst.name,
             dp.cost(),
             lp.cost()
@@ -201,7 +201,7 @@ fn dp_backend_matches_the_pipeline_on_all_benchmarks() {
 
 /// Non-uniform edge weights through the DP backend: the exact oracle must
 /// optimize the *weighted* objective, not merely find a feasible tree, so
-/// its weighted cost matches the simplex backend's.
+/// its weighted cost matches the revised simplex backend's.
 #[test]
 fn dp_backend_optimizes_weighted_objectives() {
     use lubt::core::{EbfReport, SolverBackend};
@@ -230,11 +230,11 @@ fn dp_backend_optimizes_weighted_objectives() {
             .unwrap()
     };
     let (dp_lengths, _) = solve(SolverBackend::Dp);
-    let (lp_lengths, _) = solve(SolverBackend::Simplex);
+    let (lp_lengths, _) = solve(SolverBackend::Revised);
     let (dp_cost, lp_cost) = (weighted_cost(&dp_lengths), weighted_cost(&lp_lengths));
     assert!(
         (dp_cost - lp_cost).abs() < 1e-6 * (1.0 + lp_cost),
-        "weighted: dp {dp_cost} vs simplex {lp_cost}"
+        "weighted: dp {dp_cost} vs revised {lp_cost}"
     );
 }
 

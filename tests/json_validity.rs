@@ -37,7 +37,7 @@ fn feasible_solution_and_trace_are_strict_json() {
     let (result, trace) = builder.solve_traced();
     assert!(result.is_ok());
     assert_strict(&trace.to_json(), "feasible solve trace");
-    assert!(trace.counter("simplex.solves") >= 1);
+    assert!(trace.counter("lp.solves") >= 1);
 }
 
 #[test]
@@ -178,6 +178,6 @@ fn solve_trace_prometheus_exposition_is_well_formed() {
     assert!(result.is_ok());
     let exposition = trace.to_prometheus();
     assert_prometheus(&exposition, "solve trace exposition");
-    assert!(exposition.contains("lubt_simplex_pivots_total"));
+    assert!(exposition.contains("lubt_lp_pivots_total"));
     assert!(exposition.contains("lubt_time_lp_seconds_total"));
 }

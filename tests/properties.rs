@@ -134,12 +134,12 @@ proptest! {
                 .backend(backend)
                 .solve()
         };
-        let simplex = mk(lubt::core::SolverBackend::Simplex).expect("feasible");
+        let simplex = mk(lubt::core::SolverBackend::Revised).expect("feasible");
         let ipm = mk(lubt::core::SolverBackend::InteriorPoint).expect("feasible");
         let scale = 1.0 + simplex.cost();
         prop_assert!(
             (simplex.cost() - ipm.cost()).abs() / scale < 1e-4,
-            "simplex {} vs interior point {}",
+            "revised simplex {} vs interior point {}",
             simplex.cost(),
             ipm.cost()
         );
