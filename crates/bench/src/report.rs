@@ -223,13 +223,14 @@ fn deterministic_scalars(doc: &Value) -> Result<BTreeMap<String, u64>, String> {
     scalars_under(doc, &["deterministic"])
 }
 
-/// The `"deterministic".extended` scalars, when the document carries the
-/// section (documents predating the revised backend do not).
-fn extended_scalars(doc: &Value) -> Result<Option<BTreeMap<String, u64>>, String> {
-    if doc.get_path(&["deterministic", "extended"]).is_none() {
+/// The scalars of the `"deterministic".<member>` scope, when the document
+/// carries it: `extended` (absent from documents predating the DP oracle)
+/// or `full` (present only in `--full` runs).
+fn member_scalars(doc: &Value, member: &str) -> Result<Option<BTreeMap<String, u64>>, String> {
+    if doc.get_path(&["deterministic", member]).is_none() {
         return Ok(None);
     }
-    scalars_under(doc, &["deterministic", "extended"]).map(Some)
+    scalars_under(doc, &["deterministic", member]).map(Some)
 }
 
 /// Exact comparison of two scalar maps under a subject prefix; shared by
@@ -410,9 +411,12 @@ pub fn compare(baseline: &str, current: &str, opts: &ReportOptions) -> Result<Re
     let cur_scalars = deterministic_scalars(&cur)?;
     compare_scalars(&mut report, "aggregate", &base_scalars, &cur_scalars);
 
-    // Extended scope (revised backend, --full sizes): exact comparison
-    // when both documents carry it; one-sided presence is structural.
-    match (extended_scalars(&base)?, extended_scalars(&cur)?) {
+    // Extended scope (DP oracle): exact comparison when both documents
+    // carry it; one-sided presence is structural.
+    match (
+        member_scalars(&base, "extended")?,
+        member_scalars(&cur, "extended")?,
+    ) {
         (Some(b), Some(c)) => compare_scalars(&mut report, "extended", &b, &c),
         (None, Some(_)) => report.findings.push(Finding {
             severity: Severity::Note,
@@ -425,6 +429,24 @@ pub fn compare(baseline: &str, current: &str, opts: &ReportOptions) -> Result<Re
             detail: "present in baseline, missing in current".to_string(),
         }),
         (None, None) => {}
+    }
+
+    // The --full scope is opt-in per run: compared exactly when both
+    // documents carry it, noted when only one does.
+    match (
+        member_scalars(&base, "full")?,
+        member_scalars(&cur, "full")?,
+    ) {
+        (Some(b), Some(c)) => compare_scalars(&mut report, "full", &b, &c),
+        (None, None) => {}
+        (b, _) => report.findings.push(Finding {
+            severity: Severity::Note,
+            subject: "full".to_string(),
+            detail: format!(
+                "only the {} carries the --full scope; not compared",
+                if b.is_some() { "baseline" } else { "current" }
+            ),
+        }),
     }
 
     // Wall clock: ratio comparison with slack; only keys present in both

@@ -212,15 +212,16 @@ fn write_svg(parsed: &Parsed, svg: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves the LP backend from `--lp-backend` (or its original spelling
-/// `--backend`; `--lp-backend` wins when both appear; default `revised`).
-/// Shared by `solve`, `batch`, `audit` and `profile`.
+/// Resolves the LP backend from `--lp-backend` (default `revised`).
+/// Shared by `solve`, `batch`, `audit` and `profile`. The bare spelling
+/// `--backend` is a usage error that names the real flag.
 fn choose_backend(parsed: &Parsed) -> Result<SolverBackend, String> {
-    match parsed
-        .get("lp-backend")
-        .or_else(|| parsed.get("backend"))
-        .unwrap_or("revised")
-    {
+    if parsed.has("backend") || parsed.get("backend").is_some() {
+        return Err("unknown flag --backend; the LP backend is chosen with \
+                    --lp-backend revised|ipm|dp"
+            .to_string());
+    }
+    match parsed.get("lp-backend").unwrap_or("revised") {
         "revised" => Ok(SolverBackend::Revised),
         "ipm" => Ok(SolverBackend::InteriorPoint),
         "dp" => Ok(SolverBackend::Dp),

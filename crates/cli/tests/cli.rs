@@ -509,7 +509,7 @@ fn alternate_topologies_and_backend() {
     let out = lubt()
         .args(["solve"])
         .arg(&pts)
-        .args(["--upper", "1.5", "--backend", "ipm"])
+        .args(["--upper", "1.5", "--lp-backend", "ipm"])
         .output()
         .unwrap();
     assert!(
@@ -586,6 +586,38 @@ fn revised_backend_via_cli_solves_batches_and_rejects_unknown() {
         assert!(err.contains("(revised|ipm|dp)"), "stderr: {err}");
     }
 
+    for p in pts {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn bare_backend_flag_is_a_usage_error_naming_lp_backend() {
+    let pts = gen_batch("bare-backend", 1, 6);
+    let solve = |args: &[&str]| {
+        lubt()
+            .args(["solve"])
+            .arg(&pts[0])
+            .args(["--upper", "1.5"])
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    // Valued and bare spellings both fail before any solve runs.
+    for args in [&["--backend", "revised"][..], &["--backend"][..]] {
+        let out = solve(args);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        assert!(out.stdout.is_empty(), "{args:?} must not solve");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown flag --backend"), "stderr: {err}");
+        assert!(err.contains("--lp-backend revised|ipm|dp"), "stderr: {err}");
+    }
+    let out = solve(&["--lp-backend", "revised"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     for p in pts {
         let _ = std::fs::remove_file(p);
     }
@@ -1083,12 +1115,15 @@ fn file_outputs_are_atomic_and_leave_no_temp_siblings() {
     lubt_obs::json::validate(&doc).expect("trace must be complete, never torn");
     // The atomic write path stages into `<name>.tmp.<pid>` next to the
     // target and renames; success must leave no staging files behind.
+    // Only this target's siblings count: tests running concurrently stage
+    // their own files in the same directory.
     let dir = trace.parent().unwrap();
+    let staging = format!("{}.tmp.", trace.file_name().unwrap().to_string_lossy());
     let leftovers: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("lubt-cli-test-") && n.contains(".tmp."))
+        .filter(|n| n.starts_with(&staging))
         .collect();
     assert!(
         leftovers.is_empty(),
@@ -1248,7 +1283,7 @@ fn profile_subcommand_exports_valid_documents_across_backends_and_outcomes() {
         let out = lubt()
             .args(["profile"])
             .arg(&pts)
-            .args(["--lower", "0.9", "--upper", "1.4", "--backend", backend])
+            .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
             .output()
             .unwrap();
         assert!(
@@ -1266,7 +1301,7 @@ fn profile_subcommand_exports_valid_documents_across_backends_and_outcomes() {
         let out = lubt()
             .args(["profile"])
             .arg(&pts)
-            .args(["--upper", "0.5", "--backend", backend])
+            .args(["--upper", "0.5", "--lp-backend", backend])
             .output()
             .unwrap();
         assert!(!out.status.success(), "{backend}: infeasible must fail");
@@ -1286,7 +1321,7 @@ fn profile_subcommand_exports_valid_documents_across_backends_and_outcomes() {
                 "0.9",
                 "--upper",
                 "1.4",
-                "--backend",
+                "--lp-backend",
                 backend,
                 "--trace-event-cap",
                 "0",

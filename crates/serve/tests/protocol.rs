@@ -488,8 +488,11 @@ fn wire_shutdown_is_gated_and_metrics_speak_prometheus() {
     let mut c = Client::connect(&server);
     let resp = c.roundtrip(r#"{"op":"shutdown","id":"nope"}"#);
     assert_eq!(field(&parse(&resp).unwrap(), "code"), codes::FORBIDDEN);
-    // Solve something so the scrape has solver families too.
+    // Solve something so the scrape has solver families too; the larger
+    // net runs long enough to refactorize the basis.
     let resp = c.roundtrip(&solve_line("warmup", &square_instance("sq")));
+    assert_eq!(field(&parse(&resp).unwrap(), "status"), "ok");
+    let resp = c.roundtrip(&solve_line("grid", &grid_instance("g40", 40)));
     assert_eq!(field(&parse(&resp).unwrap(), "status"), "ok");
     // Scrape /metrics over plain HTTP on the same port.
     let mut http = TcpStream::connect(server.addr()).unwrap();
@@ -501,6 +504,9 @@ fn wire_shutdown_is_gated_and_metrics_speak_prometheus() {
     lubt_obs::prometheus::lint_exposition(body).expect("exposition-format clean");
     assert!(body.contains("lubt_serve_requests"), "{body}");
     assert!(body.contains("lubt_serve_cold_solves"), "{body}");
+    // Factor-health gauges recorded at each refactorization.
+    assert!(body.contains("lubt_lp_factor_nnz_max"), "{body}");
+    assert!(body.contains("lubt_lp_bump_dim_max"), "{body}");
     // Unknown paths 404 instead of leaking the exposition.
     let mut http = TcpStream::connect(server.addr()).unwrap();
     write!(http, "GET /secrets HTTP/1.0\r\n\r\n").unwrap();

@@ -170,6 +170,50 @@ fn bench_document_report_and_prometheus_expositions_are_strict() {
 }
 
 #[test]
+fn factor_health_gauges_reach_the_trace_bench_and_prometheus() {
+    // The pinned 16-sink suite instances refactorize the basis: the
+    // gauges land in the bench ledger's deterministic maxima, and in a
+    // traced solve's JSON and exposition.
+    let run = lubt_bench::suite::run(&lubt_bench::suite::SuiteConfig {
+        label: "gauges".to_string(),
+        threads: 1,
+        sizes: vec![16],
+        interior_cap: 0,
+        ..lubt_bench::suite::SuiteConfig::default()
+    })
+    .expect("pinned suite solves");
+    let doc = run.to_json();
+    for key in ["lp.factor_nnz", "lp.bump_dim"] {
+        assert!(
+            run.aggregate.maximum(key) > 0,
+            "{key} missing from the ledger"
+        );
+        assert!(doc.contains(&format!("\"{key}\"")), "{key} not serialized");
+    }
+    let inst = lubt::data::synthetic::uniform("g", 24, 1000.0, 7);
+    let radius = inst.radius();
+    let (result, trace) = LubtBuilder::new(inst.sinks.clone())
+        .bounds(DelayBounds::uniform(24, 0.9 * radius, 1.4 * radius))
+        .solve_traced();
+    assert!(result.is_ok());
+    assert!(
+        trace.counter("lp.refactorizations") > 0,
+        "no refactorization"
+    );
+    assert!(trace.maximum("lp.factor_nnz") > 0);
+    assert!(trace.maximum("lp.bump_dim") > 0);
+    let json = trace.to_json();
+    assert_strict(&json, "trace with factor gauges");
+    assert!(json.contains("\"lp.factor_nnz\"") && json.contains("\"lp.bump_dim\""));
+    let exposition = trace.to_prometheus();
+    assert!(
+        exposition.contains("lubt_lp_factor_nnz_max"),
+        "{exposition}"
+    );
+    assert!(exposition.contains("lubt_lp_bump_dim_max"), "{exposition}");
+}
+
+#[test]
 fn solve_trace_prometheus_exposition_is_well_formed() {
     let builder = LubtBuilder::new(square())
         .source(Point::new(5.0, 5.0))
